@@ -1,8 +1,7 @@
 //! Profiling driver: runs one Table 1 row repeatedly in a chosen
 //! lane so a sampling profiler can attribute the hot path, and so
 //! lane speedups can be timed outside the full perfbench harness.
-//! Usage: lane_profile <name-substring> <fidelity|throughput|compiled> <reps>
-use psi_core::Measurement;
+//! Usage: lane_profile <name-substring> <fidelity|fast> <reps>
 use psi_machine::MachineConfig;
 use psi_workloads::runner::run_on_psi;
 use psi_workloads::suite::table1_suite;
@@ -10,15 +9,13 @@ use psi_workloads::suite::table1_suite;
 fn main() {
     let mut args = std::env::args().skip(1);
     let name = args.next().unwrap_or_else(|| "tarai3".into());
-    let lane = args.next().unwrap_or_else(|| "throughput".into());
+    let lane = args.next().unwrap_or_else(|| "fast".into());
     let reps: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(5);
-    let mut config = MachineConfig::psi();
-    if lane == "throughput" || lane == "compiled" {
-        config.measurement = Measurement::Off;
-    }
-    if lane == "compiled" {
-        config.compiled = true;
-    }
+    let config = if lane == "fast" {
+        MachineConfig::psi_compiled()
+    } else {
+        MachineConfig::psi()
+    };
     let entry = table1_suite()
         .into_iter()
         .find(|e| e.workload.name.contains(&name))

@@ -1,7 +1,7 @@
 //! Generated-corpus equivalence harness: generates a pinned-seed
 //! workload corpus (`psi_workloads::corpus`), runs it under the
-//! governed suite layer on all six measurement cells — fidelity,
-//! throughput and compiled lanes × {linear, indexed} clause lookup —
+//! governed suite layer on all four measurement cells — fidelity
+//! and fast (compiled) lanes × {linear, indexed} clause lookup —
 //! and asserts that every cell reproduces the host-computed oracle
 //! solutions bit-identically and that step counts agree across lanes
 //! within each indexing profile. Writes a summary report to
@@ -133,8 +133,6 @@ fn main() -> ExitCode {
     let cells = [
         ("fidelity/linear", MachineConfig::psi(), false),
         ("fidelity/indexed", MachineConfig::psi(), true),
-        ("throughput/linear", MachineConfig::psi_throughput(), false),
-        ("throughput/indexed", MachineConfig::psi_throughput(), true),
         ("compiled/linear", MachineConfig::psi_compiled(), false),
         ("compiled/indexed", MachineConfig::psi_compiled(), true),
     ];
@@ -196,7 +194,7 @@ fn main() -> ExitCode {
     }
 
     let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"psi-bench-corpus-v1\",\n");
+    json.push_str("{\n  \"schema\": \"psi-bench-corpus-v2\",\n");
     json.push_str(&format!("  \"seed\": {seed},\n"));
     json.push_str(&format!("  \"count\": {},\n", corpus.len()));
     json.push_str(&format!("  \"quick\": {quick},\n"));

@@ -1,6 +1,6 @@
 //! Microbenchmark harness: runs the Table 1 suite under the
 //! paper-faithful (linear) and first-argument-indexing profiles, in
-//! the fidelity, throughput and compiled lanes, checks all six cells
+//! the fidelity and fast (compiled) lanes, checks all four cells
 //! produce identical solutions (and the lanes identical step counts),
 //! and writes the measurements to `BENCH_psi.json` at the repository
 //! root.
@@ -132,11 +132,8 @@ fn main() -> ExitCode {
     for row in report.lane_mismatches() {
         eprintln!(
             "perfbench: `{}` deterministic counters differ between lanes \
-             (fidelity steps {}, throughput steps {}, compiled steps {})",
-            row.program,
-            row.fidelity.linear.steps,
-            row.throughput.linear.steps,
-            row.compiled.linear.steps
+             (fidelity steps {}, compiled steps {})",
+            row.program, row.fidelity.linear.steps, row.compiled.linear.steps
         );
         failed = true;
     }

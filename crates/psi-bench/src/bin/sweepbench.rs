@@ -16,7 +16,7 @@
 //! The default grid is ~600 cells: six capacities × {1,2} ways ×
 //! {4,8}-word blocks × both write policies on the fidelity lane, with
 //! linear, indexed and governed machine configurations, over four
-//! workloads, plus the throughput and compiled lanes on the stock
+//! workloads, plus the fast lane (linear and indexed) on the stock
 //! geometry. `--quick` shrinks it to a seconds-scale smoke grid for
 //! CI.
 //!
@@ -49,7 +49,7 @@ use std::time::Instant;
 /// The default grid: Figure 1's capacity axis extended with
 /// associativity, block size and write policy, crossed with the three
 /// machine-configuration points the repo distinguishes (linear,
-/// indexed, governed) and a four-workload mix, plus the fast lanes on
+/// indexed, governed) and a four-workload mix, plus the fast lane on
 /// the stock geometry.
 fn default_spec() -> SweepSpec {
     let (geometries, invalid) = GeometryAxis {
@@ -82,8 +82,8 @@ fn default_spec() -> SweepSpec {
                 max_steps: Some(200_000_000),
             },
             ConfigPoint {
-                name: "B-linear".into(),
-                lane: Lane::Throughput,
+                name: "C-linear".into(),
+                lane: Lane::Compiled,
                 clause_indexing: false,
                 max_steps: None,
             },

@@ -5,12 +5,10 @@
 //!   ([`MachineConfig::psi`]) vs the opt-in first-argument indexing
 //!   profile ([`MachineConfig::psi_indexed`]);
 //! * **lane** — the fidelity lane (full cache/trace/event
-//!   measurement, [`psi_core::Measurement::Full`]), the throughput
-//!   lane ([`psi_core::Measurement::Off`]), and the compiled lane
+//!   measurement, [`psi_core::Measurement::Full`]) and the fast lane
 //!   ([`MachineConfig::psi_compiled`]: measurement off plus fused
-//!   dispatch). Both fast lanes must produce bit-identical solutions
-//!   and step totals while running well over 2× faster on the heavy
-//!   rows (compiled over throughput again).
+//!   dispatch), which must produce bit-identical solutions and step
+//!   totals while running several times faster on the heavy rows.
 //!
 //! Unlike the table regenerators — which report *simulated* PSI time
 //! and are bit-reproducible — this harness also measures host wall
@@ -22,11 +20,10 @@
 //!
 //! The report serializes to `BENCH_psi.json` (hand-rolled JSON — the
 //! workspace deliberately has no serde dependency) and doubles as an
-//! equivalence check: all six cells of a row must produce identical
-//! solution lists, and the three lanes must agree exactly on every
+//! equivalence check: all four cells of a row must produce identical
+//! solution lists, and the two lanes must agree exactly on every
 //! deterministic counter.
 
-use psi_core::Measurement;
 use psi_machine::MachineConfig;
 use psi_obs::Counter;
 use psi_workloads::runner::run_on_psi_machine;
@@ -69,7 +66,7 @@ pub struct ProfileMeasurement {
     /// Median host wall time over the timed repetitions, nanoseconds.
     pub wall_ns: u64,
     /// Simulated PSI time, nanoseconds (deterministic; zero stall
-    /// contribution in the throughput lane).
+    /// contribution in the fast lane).
     pub sim_ns: u64,
     /// Interpreter microsteps (deterministic, lane-invariant).
     pub steps: u64,
@@ -82,9 +79,6 @@ pub struct ProfileMeasurement {
     /// Indexed calls whose single surviving candidate was entered
     /// with no choice point.
     pub index_direct_entries: u64,
-    /// Dispatches served from the predecoded code cache (fast lanes
-    /// only; always zero in the fidelity lane).
-    pub predecode_hits: u64,
     /// Rendered solutions, for cross-cell comparison.
     pub solutions: Vec<String>,
 }
@@ -98,7 +92,7 @@ pub struct LaneMeasurements {
     pub indexed: ProfileMeasurement,
 }
 
-/// One Table 1 row measured under both profiles in all three lanes.
+/// One Table 1 row measured under both profiles in both lanes.
 #[derive(Debug, Clone)]
 pub struct PerfRow {
     /// Row number in Table 1 (1-based).
@@ -107,9 +101,7 @@ pub struct PerfRow {
     pub program: String,
     /// Fidelity lane (full measurement, the archived-numbers lane).
     pub fidelity: LaneMeasurements,
-    /// Throughput lane (measurement off).
-    pub throughput: LaneMeasurements,
-    /// Compiled lane (measurement off, fused dispatch).
+    /// Fast lane (measurement off, fused dispatch).
     pub compiled: LaneMeasurements,
 }
 
@@ -135,40 +127,23 @@ fn speedup(fidelity_wall_ns: u64, lane_wall_ns: u64) -> f64 {
 }
 
 impl PerfRow {
-    /// Whether all six cells produced identical solution lists.
+    /// Whether all four cells produced identical solution lists.
     pub fn solutions_match(&self) -> bool {
         let reference = &self.fidelity.linear.solutions;
         *reference == self.fidelity.indexed.solutions
-            && *reference == self.throughput.linear.solutions
-            && *reference == self.throughput.indexed.solutions
             && *reference == self.compiled.linear.solutions
             && *reference == self.compiled.indexed.solutions
     }
 
-    /// Whether both fast lanes matched the fidelity lane exactly on
+    /// Whether the fast lane matched the fidelity lane exactly on
     /// every deterministic counter (steps, choice points, backtracks,
     /// indexing statistics) and on solutions, per profile.
     pub fn lanes_match(&self) -> bool {
-        cells_equivalent(&self.fidelity.linear, &self.throughput.linear)
-            && cells_equivalent(&self.fidelity.indexed, &self.throughput.indexed)
-            && cells_equivalent(&self.fidelity.linear, &self.compiled.linear)
+        cells_equivalent(&self.fidelity.linear, &self.compiled.linear)
             && cells_equivalent(&self.fidelity.indexed, &self.compiled.indexed)
     }
 
-    /// Wall-time speedup of the throughput lane over the fidelity
-    /// lane, linear profile (zero-guarded, see [`PerfRow::speedup_lane_b`]).
-    pub fn speedup_linear(&self) -> f64 {
-        self.speedup_lane_b()
-    }
-
-    /// Wall-time speedup of the throughput lane (lane B) over the
-    /// fidelity lane, linear profile. 0.0 when the throughput cell's
-    /// wall time rounded to zero.
-    pub fn speedup_lane_b(&self) -> f64 {
-        speedup(self.fidelity.linear.wall_ns, self.throughput.linear.wall_ns)
-    }
-
-    /// Wall-time speedup of the compiled lane (lane C) over the
+    /// Wall-time speedup of the fast lane (lane C) over the
     /// fidelity lane, linear profile. 0.0 when the compiled cell's
     /// wall time rounded to zero.
     pub fn speedup_lane_c(&self) -> f64 {
@@ -191,7 +166,7 @@ impl PerfReport {
         self.rows.iter().filter(|r| !r.solutions_match()).collect()
     }
 
-    /// Rows where the throughput lane diverged from the fidelity lane
+    /// Rows where the fast lane diverged from the fidelity lane
     /// on a deterministic counter (must be empty).
     pub fn lane_mismatches(&self) -> Vec<&PerfRow> {
         self.rows.iter().filter(|r| !r.lanes_match()).collect()
@@ -199,19 +174,17 @@ impl PerfReport {
 
     /// Serializes the report as pretty-printed JSON.
     ///
-    /// Schema `psi-bench-perf-v3`: top-level `warmup`, `repetitions`,
-    /// and `rows`; each row carries a `fidelity`, a `throughput` and a
-    /// `compiled` lane object (in that order — readers of the archive
-    /// rely on the fidelity lane coming first, see [`archived_steps`]),
-    /// each with a `linear` and an `indexed` measurement, plus
-    /// per-lane wall-time speedups `speedup_lane_b` / `speedup_lane_c`
-    /// (`speedup_linear` is kept as an alias of `speedup_lane_b` for
-    /// v2 readers). Solution texts are not embedded (they can be
-    /// thousands of bindings); only their count and the
-    /// `solutions_match` / `lanes_match` verdicts are.
+    /// Schema `psi-bench-perf-v4`: top-level `warmup`, `repetitions`,
+    /// and `rows`; each row carries a `fidelity` and a `compiled` lane
+    /// object (in that order — readers of the archive rely on the
+    /// fidelity lane coming first, see [`archived_steps`]), each with
+    /// a `linear` and an `indexed` measurement, plus the fast lane's
+    /// wall-time speedup `speedup_lane_c`. Solution texts are not
+    /// embedded (they can be thousands of bindings); only their count
+    /// and the `solutions_match` / `lanes_match` verdicts are.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        out.push_str("{\n  \"schema\": \"psi-bench-perf-v3\",\n");
+        out.push_str("{\n  \"schema\": \"psi-bench-perf-v4\",\n");
         let _ = writeln!(out, "  \"warmup\": {},", self.options.warmup);
         let _ = writeln!(out, "  \"repetitions\": {},", self.options.repetitions);
         out.push_str("  \"rows\": [\n");
@@ -228,31 +201,17 @@ impl PerfReport {
             let _ = writeln!(out, "      \"lanes_match\": {},", row.lanes_match());
             let _ = writeln!(
                 out,
-                "      \"speedup_linear\": {:.3},",
-                row.speedup_linear()
-            );
-            let _ = writeln!(
-                out,
-                "      \"speedup_lane_b\": {:.3},",
-                row.speedup_lane_b()
-            );
-            let _ = writeln!(
-                out,
                 "      \"speedup_lane_c\": {:.3},",
                 row.speedup_lane_c()
             );
-            for (j, (lane, m)) in [
-                ("fidelity", &row.fidelity),
-                ("throughput", &row.throughput),
-                ("compiled", &row.compiled),
-            ]
-            .into_iter()
-            .enumerate()
+            for (j, (lane, m)) in [("fidelity", &row.fidelity), ("compiled", &row.compiled)]
+                .into_iter()
+                .enumerate()
             {
                 let _ = writeln!(out, "      \"{lane}\": {{");
                 let _ = writeln!(out, "        \"linear\": {},", measurement_json(&m.linear));
                 let _ = writeln!(out, "        \"indexed\": {}", measurement_json(&m.indexed));
-                let comma = if j < 2 { "," } else { "" };
+                let comma = if j < 1 { "," } else { "" };
                 let _ = writeln!(out, "      }}{comma}");
             }
             let comma = if i + 1 < self.rows.len() { "," } else { "" };
@@ -267,19 +226,17 @@ impl PerfReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:<22} {:>12} {:>10} {:>10} {:>10} {:>7} {:>7}  match lanes",
-            "program", "steps lin", "wall fid", "wall thr", "wall cmp", "spd B", "spd C"
+            "{:<22} {:>12} {:>10} {:>10} {:>7}  match lanes",
+            "program", "steps lin", "wall fid", "wall cmp", "spd C"
         );
         for row in &self.rows {
             let _ = writeln!(
                 out,
-                "{:<22} {:>12} {:>8.2}ms {:>8.2}ms {:>8.2}ms {:>6.2}x {:>6.2}x  {:<5} {}",
+                "{:<22} {:>12} {:>8.2}ms {:>8.2}ms {:>6.2}x  {:<5} {}",
                 row.program,
                 row.fidelity.linear.steps,
                 row.fidelity.linear.wall_ns as f64 / 1e6,
-                row.throughput.linear.wall_ns as f64 / 1e6,
                 row.compiled.linear.wall_ns as f64 / 1e6,
-                row.speedup_lane_b(),
                 row.speedup_lane_c(),
                 if row.solutions_match() { "yes" } else { "NO" },
                 if row.lanes_match() { "yes" } else { "NO" },
@@ -292,8 +249,7 @@ impl PerfReport {
 fn measurement_json(m: &ProfileMeasurement) -> String {
     format!(
         "{{\"wall_ns\": {}, \"sim_ns\": {}, \"steps\": {}, \"choice_points\": {}, \
-         \"backtracks\": {}, \"indexed_calls\": {}, \"index_direct_entries\": {}, \
-         \"predecode_hits\": {}}}",
+         \"backtracks\": {}, \"indexed_calls\": {}, \"index_direct_entries\": {}}}",
         m.wall_ns,
         m.sim_ns,
         m.steps,
@@ -301,7 +257,6 @@ fn measurement_json(m: &ProfileMeasurement) -> String {
         m.backtracks,
         m.indexed_calls,
         m.index_direct_entries,
-        m.predecode_hits,
     )
 }
 
@@ -339,7 +294,7 @@ pub fn row_matches(spec: &str, index: usize, program: &str) -> bool {
 /// Extracts `(program, fidelity-lane linear steps)` pairs from a
 /// previously written `BENCH_psi.json`, for the microstep-regression
 /// gate. Works on the v1 schema (one `"linear"` object per row) and
-/// the v2/v3 schemas (fidelity lane first): in every layout the
+/// the v2–v4 schemas (fidelity lane first): in every layout the
 /// first `"linear"` line after a `"program"` line is the fidelity
 /// lane's linear measurement.
 pub fn archived_steps(json: &str) -> Vec<(String, u64)> {
@@ -400,22 +355,11 @@ fn measure(
         backtracks: snap.get(Counter::Backtracks),
         indexed_calls: run.stats.indexed_calls,
         index_direct_entries: run.stats.index_direct_entries,
-        predecode_hits: snap.get(Counter::PredecodeHits),
         solutions: run.solutions,
     })
 }
 
-fn with_lane(mut config: MachineConfig, lane: Measurement) -> MachineConfig {
-    config.measurement = lane;
-    config
-}
-
-fn with_compiled(mut config: MachineConfig) -> MachineConfig {
-    config.compiled = true;
-    config
-}
-
-/// Measures one suite entry across all six (profile, lane) cells.
+/// Measures one suite entry across all four (profile, lane) cells.
 fn measure_row(
     entry: &psi_workloads::suite::Table1Entry,
     options: &PerfOptions,
@@ -425,36 +369,21 @@ fn measure_row(
         linear: measure(w, &MachineConfig::psi(), options)?,
         indexed: measure(w, &MachineConfig::psi_indexed(), options)?,
     };
-    let throughput = LaneMeasurements {
-        linear: measure(
-            w,
-            &with_lane(MachineConfig::psi(), Measurement::Off),
-            options,
-        )?,
-        indexed: measure(
-            w,
-            &with_lane(MachineConfig::psi_indexed(), Measurement::Off),
-            options,
-        )?,
-    };
+    let mut compiled_indexed = MachineConfig::psi_compiled();
+    compiled_indexed.clause_indexing = true;
     let compiled = LaneMeasurements {
         linear: measure(w, &MachineConfig::psi_compiled(), options)?,
-        indexed: measure(
-            w,
-            &with_compiled(with_lane(MachineConfig::psi_indexed(), Measurement::Off)),
-            options,
-        )?,
+        indexed: measure(w, &compiled_indexed, options)?,
     };
     Ok(PerfRow {
         index: entry.index,
         program: w.name.clone(),
         fidelity,
-        throughput,
         compiled,
     })
 }
 
-/// Runs the Table 1 suite under both profiles in all three lanes.
+/// Runs the Table 1 suite under both profiles in both lanes.
 ///
 /// # Errors
 ///
@@ -496,41 +425,32 @@ mod tests {
     fn json_shape_is_stable() {
         let report = sample_report();
         let json = report.to_json();
-        assert!(json.starts_with("{\n  \"schema\": \"psi-bench-perf-v3\""));
+        assert!(json.starts_with("{\n  \"schema\": \"psi-bench-perf-v4\""));
         assert!(json.contains("\"program\": \"nreverse 30\""));
         assert!(json.contains("\"solutions_match\": true"));
         assert!(json.contains("\"lanes_match\": true"));
-        assert!(json.contains("\"speedup_lane_b\": "));
         assert!(json.contains("\"speedup_lane_c\": "));
         assert!(json.contains("\"fidelity\": {"));
-        assert!(json.contains("\"throughput\": {"));
         assert!(json.contains("\"compiled\": {"));
         assert!(json.contains("\"choice_points\": 10"));
         assert!(json.trim_end().ends_with('}'));
-        // The fidelity lane must serialize before the fast lanes —
+        // The fidelity lane must serialize before the fast lane —
         // archived_steps picks the first "linear" after "program".
         let fid = json.find("\"fidelity\"").expect("fidelity present");
-        let thr = json.find("\"throughput\"").expect("throughput present");
         let cmp = json.find("\"compiled\"").expect("compiled present");
-        assert!(fid < thr && thr < cmp, "lane order must be fid, thr, cmp");
+        assert!(fid < cmp, "lane order must be fid, cmp");
     }
 
     #[test]
-    fn speedups_are_zero_guarded_and_per_lane() {
+    fn speedup_is_zero_guarded() {
         let mut row = sample_report().rows.remove(0);
         row.fidelity.linear.wall_ns = 9000;
-        row.throughput.linear.wall_ns = 3000;
         row.compiled.linear.wall_ns = 1500;
-        assert!((row.speedup_lane_b() - 3.0).abs() < 1e-12);
         assert!((row.speedup_lane_c() - 6.0).abs() < 1e-12);
-        assert_eq!(row.speedup_linear(), row.speedup_lane_b());
         // A sub-resolution fast cell must not explode into a
         // near-infinite ratio.
-        row.throughput.linear.wall_ns = 0;
         row.compiled.linear.wall_ns = 0;
-        assert_eq!(row.speedup_lane_b(), 0.0);
         assert_eq!(row.speedup_lane_c(), 0.0);
-        assert_eq!(row.speedup_linear(), 0.0);
     }
 
     #[test]
@@ -556,7 +476,7 @@ mod tests {
     }
 
     #[test]
-    fn archived_steps_reads_own_v3_output() {
+    fn archived_steps_reads_own_v4_output() {
         let report = sample_report();
         let pairs = archived_steps(&report.to_json());
         assert_eq!(pairs, vec![("nreverse 30".to_owned(), 30)]);
@@ -589,7 +509,6 @@ mod tests {
                 index: 1,
                 program: "nreverse 30".into(),
                 fidelity: lane(),
-                throughput: lane(),
                 compiled: lane(),
             }],
         }
@@ -604,7 +523,6 @@ mod tests {
             backtracks: 4,
             indexed_calls: 0,
             index_direct_entries: 0,
-            predecode_hits: 0,
             solutions: vec!["X = 1".into()],
         }
     }

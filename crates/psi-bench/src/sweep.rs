@@ -56,16 +56,15 @@ use std::time::Instant;
 // grid specification
 // ------------------------------------------------------------------
 
-/// Execution lane of a machine-configuration axis point (the three
+/// Execution lane of a machine-configuration axis point (the two
 /// verified-equivalent lanes of ARCHITECTURE.md).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lane {
     /// Lane A: full measurement — the only lane that drives the cache
     /// model, so only fidelity planes spread over the geometry axis.
     Fidelity,
-    /// Lane B: measurement off, predecoded dispatch.
-    Throughput,
-    /// Lane C: measurement off, fused superinstruction dispatch.
+    /// Lane C, the fast lane: measurement off, fused superinstruction
+    /// dispatch.
     Compiled,
 }
 
@@ -74,7 +73,6 @@ impl Lane {
     pub fn code(&self) -> &'static str {
         match self {
             Lane::Fidelity => "A",
-            Lane::Throughput => "B",
             Lane::Compiled => "C",
         }
     }
@@ -110,13 +108,8 @@ impl ConfigPoint {
         let mut c = MachineConfig::psi();
         c.cache = Some(geometry);
         c.clause_indexing = self.clause_indexing;
-        match self.lane {
-            Lane::Fidelity => {}
-            Lane::Throughput => c.measurement = Measurement::Off,
-            Lane::Compiled => {
-                c.measurement = Measurement::Off;
-                c.compiled = true;
-            }
+        if self.lane == Lane::Compiled {
+            c.measurement = Measurement::Off;
         }
         if let Some(steps) = self.max_steps {
             c.limits.max_steps = Some(steps);
@@ -210,7 +203,7 @@ pub fn geometry_is_valid(c: &CacheConfig) -> bool {
 }
 
 /// A declarative experiment grid: workloads × machine configurations
-/// × cache geometries. Fast-lane (B/C) configuration points never
+/// × cache geometries. Fast-lane (C) configuration points never
 /// drive the cache model, so their cells collapse onto the single
 /// stock PSI geometry instead of spreading over the geometry axis;
 /// the collapsed cell count is reported, never silently dropped.
@@ -360,7 +353,7 @@ pub struct CellResult {
     pub workload: String,
     /// Configuration point name.
     pub config: String,
-    /// Lane code ("A"/"B"/"C").
+    /// Lane code ("A"/"C").
     pub lane: String,
     /// Clause indexing on?
     pub indexing: bool,
@@ -653,7 +646,7 @@ impl SweepReport {
         if self.collapsed_fast_lane_cells > 0 {
             let _ = writeln!(
                 out,
-                "  {} fast-lane cells collapsed onto the stock geometry (lanes B/C never drive the cache)",
+                "  {} fast-lane cells collapsed onto the stock geometry (lane C never drives the cache)",
                 self.collapsed_fast_lane_cells
             );
         }
@@ -1270,8 +1263,8 @@ mod tests {
             configs: vec![
                 ConfigPoint::fidelity("A-linear", false),
                 ConfigPoint {
-                    name: "B-linear".into(),
-                    lane: Lane::Throughput,
+                    name: "C-linear".into(),
+                    lane: Lane::Compiled,
                     clause_indexing: false,
                     max_steps: None,
                 },

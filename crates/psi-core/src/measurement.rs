@@ -12,13 +12,14 @@
 /// * [`Measurement::Full`] — the fidelity lane (Lane A, the default).
 ///   All measurement machinery runs; archived experiment outputs are
 ///   bit-reproducible.
-/// * [`Measurement::Off`] — the throughput lane (Lane B). The memory
-///   unit skips the cache simulator, address tracing and event
-///   recording, and the interpreter dispatches from its predecoded
-///   code cache. Microinstruction *step* accounting is still charged
-///   identically — solutions, step totals and per-module tallies are
-///   bit-identical to the fidelity lane; only cache statistics and
-///   stall time (hence simulated wall time) are zero.
+/// * [`Measurement::Off`] — the fast lane. The memory unit skips the
+///   cache simulator, address tracing and event recording, and the
+///   interpreter dispatches from a fused, pre-classified copy of the
+///   loaded code with pre-recorded step charges. Microinstruction
+///   *step* accounting is still charged identically — solutions, step
+///   totals and per-module tallies are bit-identical to the fidelity
+///   lane; only cache statistics and stall time (hence simulated wall
+///   time) are zero.
 ///
 /// The lane is selected once, when the machine is loaded; it is not a
 /// per-access decision.
@@ -27,7 +28,7 @@ pub enum Measurement {
     /// Fidelity lane: full cache/trace/event measurement (default).
     #[default]
     Full,
-    /// Throughput lane: storage access and step counting only.
+    /// Fast lane: storage access and step counting only.
     Off,
 }
 
@@ -37,7 +38,8 @@ impl Measurement {
         matches!(self, Measurement::Full)
     }
 
-    /// Stable short label (used by benchmark reports).
+    /// Stable short label (used by benchmark reports and written into
+    /// snapshots, so `Off` keeps its historical `throughput` label).
     pub fn label(self) -> &'static str {
         match self {
             Measurement::Full => "fidelity",

@@ -343,7 +343,7 @@ impl CodeImage {
     /// (`front == true`) the clause `head :- body` to its predicate,
     /// marking it dynamic. This is the database half of
     /// `assert`/`asserta`; the machine charges for it and re-syncs
-    /// its decode/fused views afterwards.
+    /// its fused view afterwards.
     ///
     /// # Errors
     ///
@@ -382,8 +382,8 @@ impl CodeImage {
     /// Removes clause `pos` of predicate `idx` from the clause list,
     /// its source record, and every index bucket it joined, marking
     /// the predicate dynamic. The compiled words stay in the heap
-    /// (code addresses never move), so the predecoded and fused views
-    /// remain valid byte-for-byte.
+    /// (code addresses never move), so the fused view remains valid
+    /// byte-for-byte.
     pub fn retract_clause(&mut self, idx: u32, pos: usize) {
         let pred = &mut self.preds[idx as usize];
         pred.clauses.remove(pos);

@@ -37,7 +37,7 @@ impl ChargeTable {
     /// below — the comments say which.
     fn build() -> ChargeTable {
         use InterpModule as M;
-        // `fetch_code` / `charge_code_fetch`: fetch, decode+advance,
+        // `fetch_code`: fetch, decode+advance,
         // two tag tests, dispatch.
         let fetch = |m: InterpModule, op: BranchOp| {
             ChargePacket::record(move |t| {
@@ -409,7 +409,7 @@ impl Machine {
     /// of Table 4).
     #[inline]
     pub(crate) fn fetch_code(&mut self, m: InterpModule, op: BranchOp, off: u32) -> Result<Word> {
-        if self.lane_fast {
+        if self.lane_compiled {
             return self.fetch_code_fast(m, op, off);
         }
         self.micro(m, op, true);
@@ -427,48 +427,22 @@ impl Machine {
         w
     }
 
-    /// The microstep and WF charges of one code-word fetch, kept in
-    /// step with [`Machine::fetch_code`]'s sequence (same branch ops,
-    /// same rotor order, same WF touches). The throughput lane charges
-    /// these without the simulated-memory round trip.
-    pub(crate) fn charge_code_fetch(&mut self, m: InterpModule, op: BranchOp) {
-        self.micro(m, op, true);
-        self.wf.touch_read(WfField::Source1, WfMode::Direct10);
-        self.micro_seq(m, true);
-        self.wf.touch_read(WfField::Source1, WfMode::Direct00);
-        self.wf.touch_write(WfMode::Direct10);
-        self.micro_cond(m, true);
-        self.micro_cond(m, false);
-        self.micro_goto(m, true);
-    }
-
-    /// Throughput-lane code fetch: identical microstep and WF charges,
-    /// with the simulated-memory round trip replaced by a direct read
-    /// of the host-side code image. This is sound because `sync_code`
-    /// copies the image verbatim into the simulated heap and code is
-    /// immutable once loaded; an offset beyond the image falls back to
-    /// the bus so error behaviour matches the fidelity lane.
+    /// Fast-lane code fetch: the fidelity lane's microstep charges as
+    /// one pre-recorded packet, with the simulated-memory round trip
+    /// replaced by a direct read of the host-side code image. This is
+    /// sound because `sync_code` copies the image verbatim into the
+    /// simulated heap and code is immutable once loaded; an offset
+    /// beyond the image falls back to the bus so error behaviour
+    /// matches the fidelity lane.
     #[inline]
     fn fetch_code_fast(&mut self, m: InterpModule, op: BranchOp, off: u32) -> Result<Word> {
-        let w = match self.image.heap().get(off as usize) {
-            Some(&w) => Ok(w),
-            None => self.bus.read(self.heap_addr(off)),
+        let w = self.fetch_code_uncharged(off);
+        let oi = match op {
+            BranchOp::CaseOpcode => 0,
+            BranchOp::CaseTag => 1,
+            _ => unreachable!("code is only fetched through CaseOpcode or CaseTag"),
         };
-        if self.lane_compiled {
-            // The compiled lane fetches only through the two fetch
-            // ops; charge the matching pre-recorded packet.
-            let oi = match op {
-                BranchOp::CaseOpcode => 0,
-                BranchOp::CaseTag => 1,
-                _ => {
-                    self.charge_code_fetch(m, op);
-                    return w;
-                }
-            };
-            self.charge_packet(&self.charges.code_fetch[m.index()][oi]);
-        } else {
-            self.charge_code_fetch(m, op);
-        }
+        self.charge_packet(&self.charges.code_fetch[m.index()][oi]);
         w
     }
 
@@ -715,9 +689,8 @@ impl Machine {
     // ------------------------------------------------------- user calls
 
     /// Calls user predicate `pred` with `nargs` arguments encoded at
-    /// `code_ptr + 1`. Both lanes land here: the fidelity lane passes
-    /// the operands it just decoded from the fetched goal word, the
-    /// throughput lane passes them from its predecode cache.
+    /// `code_ptr + 1`, with the operands just decoded from the fetched
+    /// goal word.
     pub(crate) fn handle_user_call(&mut self, pred: u32, nargs: u8, code_ptr: u32) -> Result<Flow> {
         // Build the arguments into the reusable scratch buffer (taken
         // out of `self` so `build_args` can borrow `self` mutably, put
@@ -2038,11 +2011,11 @@ impl Machine {
     /// `assert/1`, `assertz/1` (`front == false`) and `asserta/1`
     /// (`front == true`): decodes the argument (a charged term walk),
     /// compiles it as a clause of its predicate, marks the predicate
-    /// dynamic, and re-syncs the simulated heap plus the predecode /
-    /// fused views over the appended words. Each loaded word charges
-    /// one sequential microstep — the clause-loading work the
-    /// firmware would do — through the lane-split primitives, so the
-    /// charge is identical in all three lanes.
+    /// dynamic, and re-syncs the simulated heap plus the fused view
+    /// over the appended words. Each loaded word charges one
+    /// sequential microstep — the clause-loading work the firmware
+    /// would do — through the lane-split primitives, so the charge is
+    /// identical in both lanes.
     fn builtin_assert(&mut self, args: &[Word], front: bool) -> Result<bool> {
         let term = self.decode_counted(InterpModule::Builtin, args[0])?;
         let (head, body) = match &term {
@@ -2053,6 +2026,7 @@ impl Machine {
         };
         let before = self.image.heap().len();
         std::sync::Arc::make_mut(&mut self.image).assert_clause(&head, &body, front)?;
+        self.db_writes += 1;
         self.sync_code()?;
         let added = self.image.heap().len() - before;
         for _ in 0..added {
@@ -2177,10 +2151,9 @@ impl Machine {
             }
             if matched {
                 std::sync::Arc::make_mut(&mut self.image).retract_clause(pred, pos);
-                // Code addresses never move on retract, so the
-                // predecode and fused views stay valid; sync_code
-                // keeps the extents in lockstep all the same.
-                self.sync_code()?;
+                self.db_writes += 1;
+                // Code addresses never move on retract, so the loaded
+                // heap and the fused view stay valid as they are.
                 return Ok(true);
             }
             self.undo_trail_to(mark)?;

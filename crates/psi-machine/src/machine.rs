@@ -3,8 +3,8 @@
 use crate::codegen::{CodeImage, QueryCode};
 use crate::exec::charge_table;
 use crate::ucode::{
-    BranchOp, BranchTally, ChargeTable, DecodedOp, FusedKind, FusedProgram, InterpModule,
-    MicroTally, ModuleTally, OpKind, PackedArg, CHARGE_PHASES, FUSE_NEXT,
+    BranchOp, BranchTally, ChargeTable, FusedKind, FusedProgram, InterpModule, MicroTally,
+    ModuleTally, PackedArg, CHARGE_PHASES, FUSE_NEXT,
 };
 use crate::wf::{WfStats, WorkFile};
 use kl0::{LoweredProgram, Program, Term};
@@ -146,23 +146,16 @@ pub struct MachineConfig {
     /// [`Measurement::Full`] (the default) is the fidelity lane: every
     /// memory access drives the cache-occupancy model and the other
     /// measurement hooks, exactly as the paper measured. With
-    /// [`Measurement::Off`] (the throughput lane) the memory bus skips
-    /// the cache simulator, address tracing and event recording, and
-    /// the dispatch loop runs from the predecoded code cache —
-    /// solutions, microstep totals and per-module tallies stay
-    /// bit-identical to the fidelity lane (step accounting is charged
-    /// identically), while cache statistics and stall time read zero.
+    /// [`Measurement::Off`] the machine runs the fast lane: the memory
+    /// bus skips the cache simulator, address tracing and event
+    /// recording, and the loaded code is fused at load/consult time
+    /// into a dense program of pre-classified ops, dispatched with
+    /// superinstruction chaining and pre-recorded microstep charge
+    /// packets. Solutions, microstep totals, per-module/branch tallies
+    /// and budget-exhaustion behaviour stay bit-identical to the
+    /// fidelity lane (see `tests/three_lane.rs`), while cache
+    /// statistics and stall time read zero.
     pub measurement: Measurement,
-    /// Run the compiled lane (Lane C): fuse the loaded code into a
-    /// dense program of pre-classified ops at load/consult time and
-    /// dispatch over it with pre-recorded microstep charge packets and
-    /// superinstruction chaining. Only honored together with
-    /// [`Measurement::Off`] — the fidelity lane must drive the cache
-    /// model access by access, which the batched charging elides.
-    /// Solutions, microstep totals, per-module/branch tallies and
-    /// budget-exhaustion behaviour stay bit-identical to the other
-    /// lanes (see `tests/three_lane.rs`); only host wall time changes.
-    pub compiled: bool,
 }
 
 impl MachineConfig {
@@ -179,7 +172,6 @@ impl MachineConfig {
             trace_events: false,
             clause_indexing: false,
             measurement: Measurement::Full,
-            compiled: false,
         }
     }
 
@@ -220,45 +212,16 @@ impl MachineConfig {
         }
     }
 
-    /// The shipped machine in the throughput lane
-    /// ([`MachineConfig::measurement`] off): solutions and microstep
-    /// accounting are bit-identical to [`MachineConfig::psi`], but the
-    /// cache simulator, memory tracing and event recording are
-    /// skipped, so the host runs the same program substantially
-    /// faster. Use for serving-style solve traffic; use the default
-    /// profile when reproducing the paper's tables.
-    ///
-    /// ```
-    /// use kl0::Program;
-    /// use psi_machine::{Machine, MachineConfig};
-    ///
-    /// let src = "p(1). p(2).";
-    /// let program = Program::parse(src)?;
-    /// let mut fid = Machine::load(&program, MachineConfig::psi())?;
-    /// let mut thr = Machine::load(&program, MachineConfig::psi_throughput())?;
-    /// assert_eq!(fid.solve("p(X)", 2)?, thr.solve("p(X)", 2)?);
-    /// let (f, t) = (fid.stats(), thr.stats());
-    /// assert_eq!(f.steps, t.steps);
-    /// assert_eq!(f.modules, t.modules);
-    /// // Only the measurement-side numbers differ: no cache model ran.
-    /// assert_eq!(t.stall_ns, 0);
-    /// assert_eq!(t.cache.total().accesses(), 0);
-    /// # Ok::<(), psi_core::PsiError>(())
-    /// ```
-    pub fn psi_throughput() -> MachineConfig {
-        MachineConfig {
-            measurement: Measurement::Off,
-            ..MachineConfig::psi()
-        }
-    }
-
-    /// The compiled lane (Lane C): [`MachineConfig::psi_throughput`]
-    /// plus [`MachineConfig::compiled`] — the loaded code is fused into
-    /// a dense pre-classified op array and dispatched with
-    /// superinstruction chaining and packetized microstep charging.
-    /// Observable behaviour (solutions, step totals, module and branch
-    /// tallies, resource-budget errors) is bit-identical to both other
-    /// lanes; the host just gets there faster.
+    /// The shipped machine in the fast lane
+    /// ([`MachineConfig::measurement`] off): the loaded code is fused
+    /// into a dense pre-classified op array and dispatched with
+    /// superinstruction chaining and packetized microstep charging,
+    /// and the cache simulator, memory tracing and event recording
+    /// are skipped. Observable behaviour (solutions, step totals,
+    /// module and branch tallies, resource-budget errors) is
+    /// bit-identical to [`MachineConfig::psi`]; the host just gets
+    /// there faster. Use for serving-style solve traffic; use the
+    /// default profile when reproducing the paper's tables.
     ///
     /// ```
     /// use kl0::Program;
@@ -274,12 +237,14 @@ impl MachineConfig {
     /// assert_eq!(f.steps, c.steps);
     /// assert_eq!(f.modules, c.modules);
     /// assert_eq!(f.branches, c.branches);
+    /// // Only the measurement-side numbers differ: no cache model ran.
+    /// assert_eq!(c.stall_ns, 0);
+    /// assert_eq!(c.cache.total().accesses(), 0);
     /// # Ok::<(), psi_core::PsiError>(())
     /// ```
     pub fn psi_compiled() -> MachineConfig {
         MachineConfig {
             measurement: Measurement::Off,
-            compiled: true,
             ..MachineConfig::psi()
         }
     }
@@ -523,7 +488,7 @@ pub(crate) struct Proc {
     /// before clearing.
     pub mat_stack: Vec<(u32, u32)>,
     /// Host-side trail image, used only by the compiled lane. The
-    /// interpreter lanes keep the trail in simulated `TrailStack`
+    /// fidelity lane keeps the trail in simulated `TrailStack`
     /// memory; the compiled lane charges the same trail microsteps
     /// (via packets) but stores entries here, since nothing in the
     /// deterministic view ever observes trail *memory* contents —
@@ -540,7 +505,7 @@ pub(crate) struct Proc {
 /// past a reservation still works; it is merely counted.
 /// Sized for the deepest Table 1 row (the Lisp interpreter running
 /// tarai3 keeps thousands of activations, saved frames and choice
-/// points live at once); `tests/two_lane.rs` asserts zero growth
+/// points live at once); `tests/three_lane.rs` asserts zero growth
 /// across the whole suite.
 const ENVS_RESERVE: usize = 8192;
 const CPS_RESERVE: usize = 8192;
@@ -682,32 +647,21 @@ pub struct Machine {
     /// Stall time at the start of the current run (for the per-run
     /// stall histogram).
     pub(crate) run_base_stall_ns: u64,
-    /// Predecoded dispatch cache, one entry per loaded code word
-    /// (dense, lazily filled). Consulted only in the throughput lane;
-    /// grown with undecoded sentinels by [`Machine::sync_code`] on
-    /// incremental consult, alongside the `ClauseIndex`. Shared
-    /// copy-on-write with forks, like the image: the fill sites go
-    /// through [`Arc::make_mut`], which is a refcount check once the
-    /// fork has detached its own copy.
-    pub(crate) decode: Arc<Vec<DecodedOp>>,
     /// The resource limits the machine was loaded with (the pool /
     /// server defaults). [`Machine::recycle`] restores these, so
     /// per-session budgets tightened via [`Machine::set_limits`] can
     /// never leak into the next session of a pooled machine.
     pub(crate) base_limits: ResourceLimits,
-    /// Lane flag hoisted from `config.measurement` at load, so the
-    /// dispatch loop and code fetch pay one predictable branch.
-    pub(crate) lane_fast: bool,
-    /// Compiled-lane flag, resolved at load from
-    /// [`MachineConfig::compiled`] gated on the throughput lane.
+    /// Fast-lane flag hoisted from `config.measurement` at load
+    /// ([`Measurement::Off`]), so the dispatch loop and the memory
+    /// primitives pay one predictable branch.
     pub(crate) lane_compiled: bool,
-    /// The compiled lane's fused program: one pre-classified op per
+    /// The fast lane's fused program: one pre-classified op per
     /// loaded code word plus the side array of pre-classified goal
-    /// arguments. Grown append-only by [`Machine::sync_code`] in
-    /// lockstep with the predecode cache (same events, same
-    /// append-only discipline) and shared copy-on-write with forks
-    /// behind an [`Arc`], exactly like `decode`. Empty off the
-    /// compiled lane.
+    /// arguments. Grown append-only by [`Machine::sync_code`] on
+    /// incremental consult, alongside the `ClauseIndex`, and shared
+    /// copy-on-write with forks behind an [`Arc`], like the image.
+    /// Empty in the fidelity lane.
     pub(crate) fused: Arc<FusedProgram>,
     /// When set, [`Machine::bind`] trails every binding regardless of
     /// choice-point age. `retract/1` raises it around its trial
@@ -715,6 +669,9 @@ pub struct Machine {
     /// guards the bound cells. Always lowered again before the
     /// builtin returns.
     pub(crate) force_trail: bool,
+    /// Clause-database writes (`assert`/`asserta`/`retract`) made at
+    /// run time since load — see [`Machine::clause_db_writes`].
+    pub(crate) db_writes: u64,
 }
 
 /// Internal control-flow outcome of dispatching one goal.
@@ -769,8 +726,7 @@ impl Machine {
         bus.set_measurement(config.measurement);
         let mut wf = WorkFile::new();
         wf.set_measurement(config.measurement);
-        let lane_fast = !config.measurement.is_full();
-        let lane_compiled = lane_fast && config.compiled;
+        let lane_compiled = !config.measurement.is_full();
         let base_limits = config.limits.clone();
         let mut machine = Machine {
             config,
@@ -802,12 +758,11 @@ impl Machine {
             governor_countdown: GOVERNOR_INTERVAL,
             metrics: MetricsRegistry::new(),
             run_base_stall_ns: 0,
-            decode: Arc::new(Vec::new()),
             base_limits,
-            lane_fast,
             lane_compiled,
             fused: Arc::new(FusedProgram::default()),
             force_trail: false,
+            db_writes: 0,
         };
         machine.sync_code()?;
         Ok(machine)
@@ -815,7 +770,7 @@ impl Machine {
 
     /// Forks a consulted, never-run machine: the compiled code image
     /// (heap words, predicate table, clause index, symbols) and the
-    /// predecode cache are shared immutably behind [`Arc`]s, while the
+    /// fused program are shared immutably behind [`Arc`]s, while the
     /// run state — simulated memory, work file, stacks, registers,
     /// counters, governor budgets — is copied or created fresh. The
     /// fork solves bit-identically to a machine freshly loaded from
@@ -895,12 +850,11 @@ impl Machine {
             governor_countdown: GOVERNOR_INTERVAL,
             metrics: MetricsRegistry::new(),
             run_base_stall_ns: 0,
-            decode: Arc::clone(&self.decode),
             base_limits: self.base_limits.clone(),
-            lane_fast: self.lane_fast,
             lane_compiled: self.lane_compiled,
             fused: Arc::clone(&self.fused),
             force_trail: false,
+            db_writes: self.db_writes,
         })
     }
 
@@ -910,7 +864,7 @@ impl Machine {
     /// baseline). This is the sweep-cell primitive: consult a workload
     /// once, then fork it under every cache geometry instead of
     /// re-consulting per cell. Only meaningful in the fidelity lane —
-    /// the throughput lane never drives the cache model.
+    /// the fast lane never drives the cache model.
     ///
     /// # Errors
     ///
@@ -937,8 +891,8 @@ impl Machine {
     }
 
     /// The tally with all deferred charge-packet counts materialized —
-    /// the observation point of the compiled lane's lazy accounting.
-    /// Off the compiled lane `charge_counts` stays all-zero and this
+    /// the observation point of the fast lane's lazy accounting.
+    /// In the fidelity lane `charge_counts` stays all-zero and this
     /// is a plain clone.
     pub(crate) fn effective_tally(&self) -> MicroTally {
         let mut t = self.tally.clone();
@@ -948,26 +902,18 @@ impl Machine {
         t
     }
 
-    /// Copies newly compiled code words into the simulated heap and
-    /// extends the predecode cache over them. Incremental consult only
-    /// ever appends code (the same append-only pass that grows the
-    /// first-argument `ClauseIndex`), so existing decoded entries stay
-    /// valid; the new words start at the undecoded sentinel and are
-    /// decoded on first dispatch.
+    /// Copies newly compiled code words into the simulated heap and,
+    /// in the fast lane, extends the fused program over them.
+    /// Incremental consult only ever appends code (the same
+    /// append-only pass that grows the first-argument `ClauseIndex`),
+    /// so existing fused ops stay valid. Copy-on-write: the first
+    /// consult after a fork detaches a private fused program.
     pub(crate) fn sync_code(&mut self) -> Result<()> {
         let len = self.image.heap().len() as u32;
         for off in self.loaded_words..len {
             let w = self.image.heap()[off as usize];
             self.bus.poke(Address::heap(off), w)?;
         }
-        if self.decode.len() != len as usize {
-            Arc::make_mut(&mut self.decode).resize(len as usize, DecodedOp::not_decoded());
-        }
-        // The fused program rides the same append-only pass: it is
-        // (re)extended on exactly the events that grow the predecode
-        // cache, so the two can never disagree about the code extent.
-        // Copy-on-write like `decode` — the first consult after a fork
-        // detaches a private copy.
         if self.lane_compiled && self.fused.ops.len() != len as usize {
             Arc::make_mut(&mut self.fused).extend(self.image.heap());
         }
@@ -1137,7 +1083,7 @@ impl Machine {
 
     /// Adds the clauses of `src` to the loaded image (incremental
     /// consult). Compilation is append-only: existing code words,
-    /// predecode entries and clause-index buckets stay valid, new
+    /// fused ops and clause-index buckets stay valid, new
     /// clauses append after earlier clauses of the same predicates.
     /// This is the `psi-server` consult path, so malformed input must
     /// (and does) surface as typed errors — see the malformed-input
@@ -1167,7 +1113,7 @@ impl Machine {
 
     /// Returns the machine to a like-fresh state for its next session
     /// while keeping the expensive parts warm: loaded code, the
-    /// predecode cache and the clause index survive; run state,
+    /// fused program and the clause index survive; run state,
     /// measurement state, metrics, buffered output, memory-trace
     /// entries and observability events are all dropped. After
     /// `recycle`, solving a goal yields bit-identical solutions and
@@ -1242,6 +1188,15 @@ impl Machine {
     /// are pre-reserved — the regression tests assert exactly that.
     pub fn hot_path_alloc_count(&self) -> u64 {
         self.hot_allocs
+    }
+
+    /// Clause-database writes (`assert/1`, `asserta/1`, `assertz/1`,
+    /// successful `retract/1`) made at run time since load. Unlike
+    /// run state, such writes survive [`Machine::recycle`], so a warm
+    /// pool compares this count to its value at checkout to tell
+    /// whether the machine still holds only the consulted program.
+    pub fn clause_db_writes(&self) -> u64 {
+        self.db_writes
     }
 
     /// Text written by `write/1`, `nl/0` and `tab/1`.
@@ -1496,9 +1451,15 @@ impl Machine {
         if self.lane_compiled {
             return self.dispatch_fused(code_ptr);
         }
-        if self.lane_fast {
-            return self.dispatch_decoded(code_ptr);
-        }
+        self.dispatch_fetched(code_ptr)
+    }
+
+    /// Fetches the goal word at `code_ptr` through
+    /// [`Machine::fetch_code`] and dispatches on its tag: the fidelity
+    /// lane's dispatch, and the fast lane's cold fallback for code
+    /// pointers the fused program does not classify (past its extent,
+    /// or a non-goal word). Both raise the same corrupt-code error.
+    fn dispatch_fetched(&mut self, code_ptr: u32) -> Result<Flow> {
         let w = self.fetch_code(InterpModule::Control, BranchOp::CaseOpcode, code_ptr)?;
         match w.tag() {
             psi_core::Tag::Goal => {
@@ -1524,7 +1485,7 @@ impl Machine {
     /// once per *constituent* of a fused chain — each constituent's
     /// charges land before its own tick — so `ResourceExhausted`'s
     /// `consumed` count and the deadline-overshoot bound are identical
-    /// across all three lanes.
+    /// in both lanes.
     #[inline]
     fn governor_tick(&mut self) -> Result<()> {
         self.governor_countdown -= 1;
@@ -1552,22 +1513,23 @@ impl Machine {
         Ok(())
     }
 
-    /// Compiled-lane dispatch: runs over the fused op array,
+    /// Fast-lane dispatch: runs over the fused op array,
     /// executing superinstruction chains (builtin→next, cut→next)
     /// without returning to the run loop between constituents. Every
     /// constituent still pays the full per-dispatch protocol — governor
     /// tick, dispatch counter, dispatch event, the five fetch
     /// microsteps — so all deterministic statistics stay bit-identical
-    /// to the other lanes; only the host-side loop overhead is fused
+    /// to the fidelity lane; only the host-side loop overhead is fused
     /// away.
     fn dispatch_fused(&mut self, mut code_ptr: u32) -> Result<Flow> {
         loop {
             let Some(&op) = self.fused.ops.get(code_ptr as usize) else {
                 // Past the fused extent (a runtime heap-vector address
-                // or a corrupt code pointer): fall back to the decoded
-                // path, which reproduces the fidelity lane's errors.
+                // or a corrupt code pointer): fall back to fetching
+                // and decoding the word, which reproduces the fidelity
+                // lane's errors.
                 self.metrics.incr(psi_obs::Counter::FusedDispatches);
-                return self.dispatch_decoded(code_ptr);
+                return self.dispatch_fetched(code_ptr);
             };
             self.metrics.incr(psi_obs::Counter::FusedDispatches);
             let flow = match op.kind {
@@ -1581,10 +1543,7 @@ impl Machine {
                     self.charge_packet(&self.charges.code_fetch[InterpModule::Control.index()][0]);
                     self.handle_return()?
                 }
-                FusedKind::NotOp => {
-                    self.charge_packet(&self.charges.code_fetch[InterpModule::Control.index()][0]);
-                    return self.corrupt_code(code_ptr);
-                }
+                FusedKind::NotOp => return self.dispatch_fetched(code_ptr),
             };
             if flow != Flow::Continue || op.flags & FUSE_NEXT == 0 {
                 return Ok(flow);
@@ -1600,69 +1559,6 @@ impl Machine {
                 self.bus.record_event(dispatch_ev);
             }
         }
-    }
-
-    /// Throughput-lane dispatch: runs from the predecoded micro-op
-    /// array instead of re-fetching and re-decoding the goal word
-    /// through simulated memory, while charging exactly the
-    /// microsteps the fidelity lane's fetch-and-decode charges (so
-    /// step totals and module tallies stay bit-identical).
-    fn dispatch_decoded(&mut self, code_ptr: u32) -> Result<Flow> {
-        let fetched = match self.decode.get(code_ptr as usize) {
-            Some(d) if d.is_decoded() => {
-                self.metrics.incr(Counter::PredecodeHits);
-                Ok(*d)
-            }
-            _ => self.predecode_miss(code_ptr),
-        };
-        // Charged before the fetch result is inspected, mirroring the
-        // fidelity lane: `fetch_code` charges all six steps even when
-        // the heap read itself fails.
-        self.charge_code_fetch(InterpModule::Control, BranchOp::CaseOpcode);
-        let d = fetched?;
-        match d.kind() {
-            OpKind::UserGoal => self.handle_user_call(d.operand(), d.nargs(), code_ptr),
-            OpKind::BuiltinGoal => self.handle_builtin_call(d.operand(), d.nargs(), code_ptr),
-            OpKind::Cut => self.handle_cut(code_ptr),
-            OpKind::Return => self.handle_return(),
-            OpKind::NotDecoded | OpKind::Invalid => self.corrupt_code(code_ptr),
-        }
-    }
-
-    /// Cold path: first dispatch of a code word — decode it once and
-    /// fill its cache entry.
-    #[cold]
-    fn predecode_miss(&mut self, code_ptr: u32) -> Result<DecodedOp> {
-        self.metrics.incr(Counter::PredecodeMisses);
-        let idx = code_ptr as usize;
-        let w = match self.image.heap().get(idx) {
-            Some(&w) => w,
-            // Beyond the loaded image — never valid code. Read through
-            // the bus so an out-of-extent code pointer produces the
-            // same error as the fidelity lane.
-            None => self.bus.read(Address::heap(code_ptr))?,
-        };
-        let d = DecodedOp::decode(w);
-        // Copy-on-write: the first miss after a fork detaches this
-        // machine's own predecode vector (one cold memcpy of sentinel
-        // entries); after that `make_mut` is a refcount check.
-        if let Some(slot) = Arc::make_mut(&mut self.decode).get_mut(idx) {
-            *slot = d;
-        }
-        Ok(d)
-    }
-
-    /// Reproduces the fidelity lane's corrupt-code-word error for a
-    /// word the predecoder classified as non-dispatchable.
-    #[cold]
-    fn corrupt_code(&mut self, code_ptr: u32) -> Result<Flow> {
-        let w = match self.image.heap().get(code_ptr as usize) {
-            Some(&w) => w,
-            None => self.bus.peek(Address::heap(code_ptr))?,
-        };
-        Err(PsiError::EvalError {
-            detail: format!("corrupt code word ({}) at heap:{code_ptr:#x}", w.tag()),
-        })
     }
 
     /// Compares every configured budget against current consumption.

@@ -167,120 +167,6 @@ impl fmt::Display for BranchOp {
     }
 }
 
-// ------------------------------------------------------------------
-// predecoded dispatch ops (throughput lane)
-// ------------------------------------------------------------------
-
-/// What a dispatched code word does, extracted once by the predecode
-/// cache (see [`DecodedOp`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum OpKind {
-    /// Sentinel: this code word has not been dispatched yet.
-    NotDecoded = 0,
-    /// A user-predicate call (`Tag::Goal`).
-    UserGoal = 1,
-    /// A built-in call (`Tag::BuiltinGoal`).
-    BuiltinGoal = 2,
-    /// A cut (`Tag::CutGoal`).
-    Cut = 3,
-    /// The end-of-body sentinel (`Tag::EndBody`).
-    Return = 4,
-    /// Any other tag: not a dispatchable goal word. Dispatching it is
-    /// the corrupt-code error path.
-    Invalid = 5,
-}
-
-/// One predecoded dispatch micro-op, packed into eight bytes.
-///
-/// The fidelity lane re-fetches and re-decodes every goal word through
-/// simulated memory on each dispatch — that *is* the measured
-/// behaviour (six microsteps and a counted heap read per fetch). The
-/// throughput lane charges the identical microsteps but dispatches
-/// from a dense array of these, filled lazily on first execution: the
-/// tag match and operand extraction (`Word::goal_value`) happen once
-/// per code word instead of once per dispatch.
-///
-/// The array is grown (never rewritten) on incremental consult, in
-/// the same append-only pass that grows the first-argument
-/// `ClauseIndex`, so entries can never go stale: code words are
-/// immutable once loaded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DecodedOp {
-    kind: OpKind,
-    /// Argument count for goal kinds.
-    nargs: u8,
-    /// Predicate index (`UserGoal`) or builtin id (`BuiltinGoal`).
-    operand: u32,
-}
-
-impl DecodedOp {
-    /// The undecoded sentinel the cache is initialized with.
-    pub const fn not_decoded() -> DecodedOp {
-        DecodedOp {
-            kind: OpKind::NotDecoded,
-            nargs: 0,
-            operand: 0,
-        }
-    }
-
-    /// Decodes one fetched code word (the work the fidelity lane
-    /// repeats on every dispatch).
-    pub fn decode(w: psi_core::Word) -> DecodedOp {
-        use psi_core::Tag;
-        match w.tag() {
-            Tag::Goal | Tag::BuiltinGoal => {
-                let (operand, nargs) = w.goal_value().expect("goal word");
-                let kind = if w.tag() == Tag::Goal {
-                    OpKind::UserGoal
-                } else {
-                    OpKind::BuiltinGoal
-                };
-                DecodedOp {
-                    kind,
-                    nargs,
-                    operand,
-                }
-            }
-            Tag::CutGoal => DecodedOp {
-                kind: OpKind::Cut,
-                nargs: 0,
-                operand: 0,
-            },
-            Tag::EndBody => DecodedOp {
-                kind: OpKind::Return,
-                nargs: 0,
-                operand: 0,
-            },
-            _ => DecodedOp {
-                kind: OpKind::Invalid,
-                nargs: 0,
-                operand: 0,
-            },
-        }
-    }
-
-    /// Has this entry been decoded?
-    pub fn is_decoded(self) -> bool {
-        self.kind != OpKind::NotDecoded
-    }
-
-    /// The dispatch kind.
-    pub fn kind(self) -> OpKind {
-        self.kind
-    }
-
-    /// Predicate index or builtin id (goal kinds only).
-    pub fn operand(self) -> u32 {
-        self.operand
-    }
-
-    /// Argument count (goal kinds only).
-    pub fn nargs(self) -> u8 {
-        self.nargs
-    }
-}
-
 /// Per-module step counts (Table 2).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ModuleTally {
@@ -811,10 +697,10 @@ impl ChargeTable {
 // fused program (compiled lane)
 // ------------------------------------------------------------------
 
-/// Post-processed dispatch kind of a fused op (compiled lane). Unlike
-/// [`OpKind`] there is no lazy sentinel: the whole program is fused
-/// eagerly when code is loaded, and non-dispatch positions (argument
-/// words, clause headers, skeletons) are [`FusedKind::NotOp`].
+/// Post-processed dispatch kind of a fused op (compiled lane). The
+/// whole program is fused eagerly when code is loaded, and
+/// non-dispatch positions (argument words, clause headers, skeletons)
+/// are [`FusedKind::NotOp`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub(crate) enum FusedKind {
@@ -843,7 +729,7 @@ pub(crate) const FUSE_NEXT: u8 = 1 << 0;
 pub(crate) const ARGS_PACKED: u8 = 1 << 1;
 /// Flag: the argument words did not all pre-classify (corrupt or
 /// exotic input); fall back to the generic `build_args` path so error
-/// behaviour stays identical to the other lanes.
+/// behaviour stays identical to the fidelity lane.
 pub(crate) const ARGS_GENERIC: u8 = 1 << 2;
 
 /// One fused dispatch op: kind, argument-packing flags, operand, the
@@ -895,11 +781,9 @@ use psi_core::Word;
 /// The compiled lane's dense fused program: one [`FusedOp`] per loaded
 /// code word, plus a side array of pre-classified goal arguments.
 ///
-/// Built eagerly by the same append-only `sync_code` pass that grows
-/// the predecode cache, and shared copy-on-write with forks behind an
-/// `Arc` exactly like it — so the two caches are invalidated (i.e.
-/// extended; loaded code is immutable) on the same events. The
-/// classification is sound because goal tags (`Goal`, `BuiltinGoal`,
+/// Built eagerly by the append-only `sync_code` pass (loaded code is
+/// immutable, so the program is only ever extended) and shared
+/// copy-on-write with forks behind an `Arc`. The classification is sound because goal tags (`Goal`, `BuiltinGoal`,
 /// `CutGoal`, `EndBody`) never occur in argument, header or skeleton
 /// positions: every position holding one *is* a dispatchable op.
 #[derive(Debug, Clone, Default)]
@@ -1123,29 +1007,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.modules.count(InterpModule::Cut), 2);
         assert_eq!(a.branches.count(BranchOp::Goto2), 2);
-    }
-
-    #[test]
-    fn decoded_op_is_packed_to_eight_bytes() {
-        assert_eq!(std::mem::size_of::<DecodedOp>(), 8);
-        assert!(!DecodedOp::not_decoded().is_decoded());
-    }
-
-    #[test]
-    fn decode_extracts_goal_operands() {
-        use psi_core::Word;
-        let d = DecodedOp::decode(Word::goal(1000, 4));
-        assert_eq!(d.kind(), OpKind::UserGoal);
-        assert_eq!(d.operand(), 1000);
-        assert_eq!(d.nargs(), 4);
-        let b = DecodedOp::decode(Word::builtin_goal(17, 2));
-        assert_eq!(b.kind(), OpKind::BuiltinGoal);
-        assert_eq!(b.operand(), 17);
-        assert_eq!(b.nargs(), 2);
-        assert_eq!(DecodedOp::decode(Word::cut_goal()).kind(), OpKind::Cut);
-        assert_eq!(DecodedOp::decode(Word::end_body()).kind(), OpKind::Return);
-        assert_eq!(DecodedOp::decode(Word::int(3)).kind(), OpKind::Invalid);
-        assert!(DecodedOp::decode(Word::int(3)).is_decoded());
     }
 
     #[test]

@@ -209,7 +209,7 @@ pub struct WorkFile {
     words: Vec<Word>,
     stats: WfStats,
     /// Fidelity lane: record every (field, mode) access for Table 6.
-    /// The throughput lane clears this once at load — the reference
+    /// The fast lane clears this once at load — the reference
     /// counters are pure measurement (storage semantics are
     /// unaffected), so skipping them cannot change solutions, steps
     /// or module tallies.

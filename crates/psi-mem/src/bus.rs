@@ -65,7 +65,7 @@ pub struct MemBus {
     stall_ns: u64,
     step: u64,
     /// Lane flag: `true` in the fidelity lane. Hoisted out of the
-    /// access routines' match tree so the throughput lane tests one
+    /// access routines' match tree so the fast lane tests one
     /// bool and jumps straight to storage.
     measured: bool,
     trace: Option<Vec<TraceEntry>>,
@@ -214,7 +214,7 @@ impl MemBus {
 
     /// Called by the interpreter once per microinstruction step so the
     /// bus can timestamp traced accesses and let the cache's pending
-    /// memory traffic drain. In the throughput lane only the step
+    /// memory traffic drain. In the fast lane only the step
     /// counter advances — there is no simulated memory traffic to
     /// drain, so the lane's step accounting stays bit-identical while
     /// the occupancy model is skipped entirely.
@@ -229,7 +229,7 @@ impl MemBus {
     }
 
     /// Batch-advances the microstep counter by `n` ticks without
-    /// consulting the cache model — the throughput/compiled lanes'
+    /// consulting the cache model — the fast lane's
     /// equivalent of `n` [`MemBus::tick`]s, whose cache advance is
     /// measurement-gated off anyway. Never call this on a measuring
     /// bus: the cache-occupancy model would silently miss `n` cycles.

@@ -83,16 +83,14 @@ pub enum Counter {
     /// Indexed calls whose single surviving candidate was entered
     /// directly, without pushing a choice point.
     IndexDirectEntries,
-    /// Throughput-lane dispatches served from the predecoded code
-    /// cache (zero in the fidelity lane, which never consults it).
+    /// No longer incremented: the predecoded code cache it counted is
+    /// gone, so it always reads zero. Kept because the benchmark
+    /// reports it as the `machine.predecode_hits` layer count.
     PredecodeHits,
-    /// Throughput-lane dispatches that decoded their code word and
-    /// filled the cache entry.
-    PredecodeMisses,
-    /// Compiled-lane dispatches served from the fused op array (zero
-    /// off the compiled lane).
+    /// Fast-lane dispatches served from the fused op array (zero in
+    /// the fidelity lane).
     FusedDispatches,
-    /// Compiled-lane superinstruction chain continuations: fused ops
+    /// Fast-lane superinstruction chain continuations: fused ops
     /// executed directly from a predecessor's dispatch, without a
     /// run-loop round trip.
     FusionHits,
@@ -100,7 +98,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in index order.
-    pub const ALL: [Counter; 27] = [
+    pub const ALL: [Counter; 26] = [
         Counter::CacheHits,
         Counter::CacheMisses,
         Counter::CacheReads,
@@ -125,7 +123,6 @@ impl Counter {
         Counter::IndexedCalls,
         Counter::IndexDirectEntries,
         Counter::PredecodeHits,
-        Counter::PredecodeMisses,
         Counter::FusedDispatches,
         Counter::FusionHits,
     ];
@@ -165,7 +162,6 @@ impl Counter {
             Counter::IndexedCalls => "indexed_calls",
             Counter::IndexDirectEntries => "index_direct_entries",
             Counter::PredecodeHits => "predecode_hits",
-            Counter::PredecodeMisses => "predecode_misses",
             Counter::FusedDispatches => "fused_dispatches",
             Counter::FusionHits => "fusion_hits",
         }

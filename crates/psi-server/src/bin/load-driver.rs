@@ -19,7 +19,8 @@
 //! `BENCH_server.json` at the repository root by default. Exits
 //! nonzero on any verification or isolation failure.
 
-use psi_server::{percentile, Client, ClientError, LimitsPatch, Server, ServerOptions};
+use psi_server::{Client, ClientError, LimitsPatch, Server, ServerOptions};
+use psi_tools::quantile::percentile;
 use psi_workloads::suite::{table1_suite, Table1Entry};
 use std::net::SocketAddr;
 use std::process::ExitCode;

@@ -13,8 +13,6 @@
 //! * [`session`] — the per-connection state machine, including
 //!   panic containment (a machine panic poisons one session, never
 //!   the process);
-//! * [`quantile`] — the shared latency-percentile estimator used by
-//!   the benchmark reports;
 //! * [`server`] — the thread-per-connection TCP front end;
 //! * [`client`] — a small blocking client for tests and the
 //!   `load-driver` benchmark.
@@ -37,13 +35,11 @@
 pub mod client;
 pub mod pool;
 pub mod protocol;
-pub mod quantile;
 pub mod server;
 pub mod session;
 
 pub use client::{Client, ClientError, SolveReply, WireError};
 pub use pool::{Lease, MachinePool, PoolOptions};
 pub use protocol::{LimitsPatch, Request, CODE_PROTOCOL, CODE_SESSION_PANIC};
-pub use quantile::percentile;
 pub use server::{default_caps, serving_config, Server, ServerOptions};
 pub use session::{Session, SessionTurn};

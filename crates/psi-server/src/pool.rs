@@ -1,19 +1,19 @@
 //! The warm machine pool.
 //!
 //! A consulted [`Machine`] is expensive relative to a short query:
-//! parsing, lowering, compiling, seeding the simulated heap, and (on
-//! first dispatches) filling the predecode cache. The pool keeps
-//! recycled machines shelved **by the exact source text they were
-//! consulted with**, so a new session consulting the same program
-//! starts on a warm machine — loaded code, predecode entries and
-//! clause-index buckets intact — with zero per-run state (the
+//! parsing, lowering, compiling, seeding the simulated heap and fusing
+//! the loaded code. The pool keeps recycled machines shelved **by the
+//! exact source text they were consulted with**, so a new session
+//! consulting the same program starts on a warm machine — loaded
+//! code, fused program and clause-index buckets intact — with zero
+//! per-run state (the
 //! [`Machine::recycle`] contract, regression-tested in
 //! `tests/session_reuse.rs`).
 //!
 //! Shelf *misses* no longer pay a full compile either: the first cold
 //! load of each source is kept as a consulted, never-run **template**,
 //! and later misses are served by [`Machine::fork`] — the compiled
-//! image, predecode cache and clause index are shared behind `Arc`,
+//! image, fused program and clause index are shared behind `Arc`,
 //! only the run state is fresh. Because a template has never executed
 //! a query, a forked lease carries no other session's history and no
 //! recycle hazard at all; forking is also immune to the heap-creep
@@ -21,7 +21,7 @@
 //! bit-identity is regression-tested over the whole Table 1 suite in
 //! `tests/fork.rs`.
 //!
-//! Three safety rules shape the design:
+//! Four safety rules shape the design:
 //!
 //! * Reuse requires *string-equal* source, not merely equal hashes —
 //!   a machine cannot unload code, so handing it to a session that
@@ -35,6 +35,10 @@
 //!   its lease (the machine may hold a partially-compiled program
 //!   that its pool key does not describe); tainted leases are retired
 //!   at check-in.
+//! * A machine whose clause database was written at run time
+//!   (`assert`/`asserta`/`retract`) is retired at check-in too:
+//!   recycling drops run state, not clauses, so the next session on
+//!   the same source would otherwise see the previous tenant's facts.
 //! * Templates are never run and never handed out directly — every
 //!   lease is a fork, a shelved recycle, or a cold load.
 //!
@@ -93,9 +97,29 @@ pub struct Lease {
     /// (shelf miss served without a compile).
     pub forked: bool,
     tainted: bool,
+    /// [`Machine::clause_db_writes`] at checkout.
+    db_writes: u64,
 }
 
 impl Lease {
+    fn new(
+        machine: Machine,
+        source: &str,
+        sessions_served: u32,
+        warm: bool,
+        forked: bool,
+    ) -> Lease {
+        Lease {
+            db_writes: machine.clause_db_writes(),
+            machine,
+            source: source.to_owned(),
+            sessions_served,
+            warm,
+            forked,
+            tainted: false,
+        }
+    }
+
     /// Marks the machine as no longer described by its pool key — for
     /// example after an incremental consult failed partway, leaving a
     /// partially-compiled program loaded. A tainted lease still
@@ -150,14 +174,13 @@ impl MachinePool {
             shelves.get_mut(source).and_then(Vec::pop)
         };
         if let Some(shelved) = warm {
-            return Ok(Lease {
-                machine: shelved.machine,
-                source: source.to_owned(),
-                sessions_served: shelved.sessions_served,
-                warm: true,
-                forked: false,
-                tainted: false,
-            });
+            return Ok(Lease::new(
+                shelved.machine,
+                source,
+                shelved.sessions_served,
+                true,
+                false,
+            ));
         }
         let template = {
             let templates = self.templates.lock().unwrap_or_else(|e| e.into_inner());
@@ -166,27 +189,12 @@ impl MachinePool {
         if let Some(template) = template {
             // Templates are consulted and never run, so fork cannot
             // fail; shared-image forking makes the miss path cheap.
-            let machine = template.fork()?;
-            return Ok(Lease {
-                machine,
-                source: source.to_owned(),
-                sessions_served: 0,
-                warm: false,
-                forked: true,
-                tainted: false,
-            });
+            return Ok(Lease::new(template.fork()?, source, 0, false, true));
         }
         let program = Program::parse(source)?;
         let machine = Machine::load(&program, self.config.clone())?;
         let machine = self.seed_template(source, machine)?;
-        Ok(Lease {
-            machine,
-            source: source.to_owned(),
-            sessions_served: 0,
-            warm: false,
-            forked: false,
-            tainted: false,
-        })
+        Ok(Lease::new(machine, source, 0, false, false))
     }
 
     /// Consults `source` into a template without handing out a lease,
@@ -226,13 +234,17 @@ impl MachinePool {
     /// Returns a lease after a clean session end: the machine is
     /// recycled and shelved for the next session consulting the same
     /// source — unless its shelf is full, it served its
-    /// [`PoolOptions::reuse_cap`]'th session, or the lease was
-    /// [tainted](Lease::taint), in which case it is retired (dropped).
+    /// [`PoolOptions::reuse_cap`]'th session, the session wrote its
+    /// clause database, or the lease was [tainted](Lease::taint), in
+    /// which case it is retired (dropped).
     /// Never call this for a session that panicked; drop the lease
     /// instead.
     pub fn checkin(&self, mut lease: Lease) {
         lease.sessions_served += 1;
-        if lease.tainted || lease.sessions_served >= self.options.reuse_cap {
+        if lease.tainted
+            || lease.machine.clause_db_writes() != lease.db_writes
+            || lease.sessions_served >= self.options.reuse_cap
+        {
             return;
         }
         lease.machine.recycle();
@@ -264,9 +276,7 @@ mod tests {
     use super::*;
 
     fn pool() -> MachinePool {
-        let mut config = MachineConfig::psi_throughput();
-        config.clause_indexing = true;
-        MachinePool::new(config, PoolOptions::default())
+        MachinePool::new(crate::serving_config(), PoolOptions::default())
     }
 
     #[test]
@@ -340,7 +350,7 @@ mod tests {
     #[test]
     fn reuse_cap_retires_machines() {
         let pool = MachinePool::new(
-            MachineConfig::psi_throughput(),
+            MachineConfig::psi_compiled(),
             PoolOptions {
                 shelf_cap: 8,
                 reuse_cap: 2,
@@ -378,7 +388,7 @@ mod tests {
     #[test]
     fn template_cap_bounds_retained_sources() {
         let pool = MachinePool::new(
-            MachineConfig::psi_throughput(),
+            MachineConfig::psi_compiled(),
             PoolOptions {
                 shelf_cap: 8,
                 reuse_cap: 64,

@@ -19,12 +19,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// The default serving profile: throughput lane (no cache simulation,
-/// predecoded dispatch) with first-argument clause indexing — the
-/// fastest configuration that still produces solutions bit-identical
-/// to the paper-faithful machine.
+/// The default serving profile: the fast lane (no cache simulation,
+/// fused dispatch) with first-argument clause indexing — the fastest
+/// configuration that still produces solutions bit-identical to the
+/// paper-faithful machine.
 pub fn serving_config() -> MachineConfig {
-    let mut config = MachineConfig::psi_throughput();
+    let mut config = MachineConfig::psi_compiled();
     config.clause_indexing = true;
     config
 }

@@ -232,13 +232,11 @@ mod tests {
     use super::*;
     use crate::pool::PoolOptions;
     use crate::protocol::{CODE_PROTOCOL, CODE_SESSION_PANIC};
-    use psi_machine::MachineConfig;
+    use crate::serving_config;
     use psi_tools::json::parse_object;
 
     fn session() -> Session {
-        let mut config = MachineConfig::psi_throughput();
-        config.clause_indexing = true;
-        let pool = Arc::new(MachinePool::new(config, PoolOptions::default()));
+        let pool = Arc::new(MachinePool::new(serving_config(), PoolOptions::default()));
         Session::new(pool, ResourceLimits::unlimited())
     }
 
@@ -346,9 +344,7 @@ mod tests {
 
     #[test]
     fn limits_clamp_and_apply_to_the_next_solve() {
-        let mut config = MachineConfig::psi_throughput();
-        config.clause_indexing = true;
-        let pool = Arc::new(MachinePool::new(config, PoolOptions::default()));
+        let pool = Arc::new(MachinePool::new(serving_config(), PoolOptions::default()));
         let caps = ResourceLimits::unlimited().with_max_steps(1_000_000);
         let mut s = Session::new(pool, caps);
         let (_, _) = one(
@@ -374,9 +370,7 @@ mod tests {
 
     #[test]
     fn clean_finish_pools_the_machine_poisoned_finish_retires_it() {
-        let mut config = MachineConfig::psi_throughput();
-        config.clause_indexing = true;
-        let pool = Arc::new(MachinePool::new(config, PoolOptions::default()));
+        let pool = Arc::new(MachinePool::new(serving_config(), PoolOptions::default()));
         let mut s = Session::new(Arc::clone(&pool), ResourceLimits::unlimited());
         let (_, _) = one(&mut s, r#"{"cmd":"consult","src":"p(1)."}"#);
         let (_, turn) = one(&mut s, r#"{"cmd":"close"}"#);
@@ -401,9 +395,7 @@ mod tests {
     /// never see `B`'s predicates.
     #[test]
     fn incremental_consult_pools_under_the_composite_key_only() {
-        let mut config = MachineConfig::psi_throughput();
-        config.clause_indexing = true;
-        let pool = Arc::new(MachinePool::new(config, PoolOptions::default()));
+        let pool = Arc::new(MachinePool::new(serving_config(), PoolOptions::default()));
 
         // Tenant 1: consult A, then incrementally consult B, end clean.
         let mut s = Session::new(Arc::clone(&pool), ResourceLimits::unlimited());
@@ -440,9 +432,7 @@ mod tests {
     /// be retired at session end, never shelved for another tenant.
     #[test]
     fn failed_incremental_consult_retires_the_machine() {
-        let mut config = MachineConfig::psi_throughput();
-        config.clause_indexing = true;
-        let pool = Arc::new(MachinePool::new(config, PoolOptions::default()));
+        let pool = Arc::new(MachinePool::new(serving_config(), PoolOptions::default()));
 
         let mut s = Session::new(Arc::clone(&pool), ResourceLimits::unlimited());
         let (_, _) = one(&mut s, r#"{"cmd":"consult","src":"a(1)."}"#);

@@ -233,3 +233,26 @@ fn sessions_compose_limits_reset_and_incremental_consult() {
     client.close().expect("close");
     server.shutdown();
 }
+
+/// The warm pool must not hand a second session the clauses a first
+/// session asserted: same source text (so the same shelf), different
+/// counts, and each session answers exactly its own oracle.
+#[test]
+fn a_second_fill_session_sees_only_its_own_clauses() {
+    let server = spawn_server();
+    for n in [31, 28] {
+        let p = psi_workloads::corpus::fill(1, n, false);
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        client.consult(&p.workload.source).expect("consult");
+        let reply = client.solve(&p.workload.goal, u64::MAX).expect("solve");
+        client.close().expect("close");
+        assert_eq!(
+            reply.bindings,
+            p.expected,
+            "fill({n}) answered {} solutions, the oracle {}",
+            reply.bindings.len(),
+            p.expected.len()
+        );
+    }
+    server.shutdown();
+}

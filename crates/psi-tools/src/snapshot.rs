@@ -59,8 +59,7 @@ pub fn snapshot(machine: &Machine, source: &str) -> Result<String> {
         .bool("trace_memory", config.trace_memory)
         .bool("trace_events", config.trace_events)
         .bool("clause_indexing", config.clause_indexing)
-        .str("measurement", config.measurement.label())
-        .bool("compiled", config.compiled);
+        .str("measurement", config.measurement.label());
     b = match &config.cache {
         Some(c) => b
             .bool("cache", true)
@@ -125,6 +124,8 @@ pub fn restore(line: &str) -> Result<Machine> {
         trace_memory: bool_field(&obj, "trace_memory")?,
         trace_events: bool_field(&obj, "trace_events")?,
         clause_indexing: bool_field(&obj, "clause_indexing")?,
+        // The lane. Older snapshots also carry a `compiled` flag,
+        // ignored here: `measurement` alone selects the lane now.
         measurement: match obj.str_field("measurement")? {
             "fidelity" => Measurement::Full,
             "throughput" => Measurement::Off,
@@ -134,10 +135,6 @@ pub fn restore(line: &str) -> Result<Machine> {
                 })
             }
         },
-        // Absent in snapshots written before the compiled lane
-        // existed; those machines ran uncompiled, so false is the
-        // faithful default, not a guess.
-        compiled: bool_field(&obj, "compiled").unwrap_or(false),
     };
     let program = Program::parse(&source)?;
     let machine = Machine::load(&program, config)?;
@@ -352,8 +349,8 @@ mod tests {
     }
 
     #[test]
-    fn uncached_throughput_config_survives_the_trip() {
-        let mut config = MachineConfig::psi_throughput();
+    fn uncached_fast_lane_config_survives_the_trip() {
+        let mut config = MachineConfig::psi_compiled();
         config.cache = None;
         let m = template(config);
         let line = snapshot(&m, SRC).unwrap();

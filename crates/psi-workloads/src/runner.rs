@@ -469,7 +469,7 @@ where
 /// `lane` selects the execution lane for every machine in the suite
 /// (overriding `config.measurement`): [`Measurement::Full`] is the
 /// fidelity lane whose measurements feed Tables 2–7,
-/// [`Measurement::Off`] is the throughput lane — same solutions and
+/// [`Measurement::Off`] is the fast lane — same solutions and
 /// step totals, no cache/trace/event machinery.
 ///
 /// Results come back ordered by workload index and are bit-identical

@@ -1,7 +1,7 @@
 //! The dynamic clause database and the generated workload corpus,
 //! end to end: assert/asserta/retract with the immediate update view,
 //! extended arithmetic, and a replayed seeded corpus program verified
-//! against its oracle on all three lanes.
+//! against its oracle on both lanes.
 //!
 //! Run with: `cargo run --release --example dynamic_db_demo`
 
@@ -45,7 +45,6 @@ fn main() -> Result<(), psi_core::PsiError> {
     );
     for (lane, config) in [
         ("fidelity", MachineConfig::psi()),
-        ("throughput", MachineConfig::psi_throughput()),
         ("compiled", MachineConfig::psi_compiled()),
     ] {
         let run = run_on_psi(&p.workload, config)?;

@@ -1,6 +1,6 @@
 //! Property tests for the generated workload corpus: every seeded
 //! program must produce its host-computed oracle solutions,
-//! bit-identically, on all three lanes × both indexing profiles, and
+//! bit-identically, on both lanes × both indexing profiles, and
 //! a corpus run under the governed suite layer must contain a
 //! panicking row to that row alone.
 
@@ -9,12 +9,11 @@ use psi_workloads::corpus::{generate, CorpusSpec};
 use psi_workloads::runner::{run_on_psi, run_suite_governed_with_runner, Outcome, SuiteOptions};
 use psi_workloads::Workload;
 
-/// The six measurement cells: three lanes × {linear, indexed}.
+/// The four measurement cells: two lanes × {linear, indexed}.
 fn cells() -> Vec<(&'static str, MachineConfig)> {
     let mut out = Vec::new();
     for (lane, base) in [
         ("fidelity", MachineConfig::psi()),
-        ("throughput", MachineConfig::psi_throughput()),
         ("compiled", MachineConfig::psi_compiled()),
     ] {
         for indexing in [false, true] {
@@ -23,8 +22,6 @@ fn cells() -> Vec<(&'static str, MachineConfig)> {
             let name: &'static str = match (lane, indexing) {
                 ("fidelity", false) => "fidelity/linear",
                 ("fidelity", true) => "fidelity/indexed",
-                ("throughput", false) => "throughput/linear",
-                ("throughput", true) => "throughput/indexed",
                 ("compiled", false) => "compiled/linear",
                 _ => "compiled/indexed",
             };

@@ -19,13 +19,13 @@ use psi::psi_workloads::Workload;
 /// The four configuration corners the serving stack uses: each lane
 /// with and without first-argument clause indexing.
 fn corners() -> Vec<(&'static str, MachineConfig)> {
-    let mut throughput_indexed = MachineConfig::psi_indexed();
-    throughput_indexed.measurement = Measurement::Off;
+    let mut fast_indexed = MachineConfig::psi_indexed();
+    fast_indexed.measurement = Measurement::Off;
     vec![
         ("fidelity", MachineConfig::psi()),
         ("fidelity/indexed", MachineConfig::psi_indexed()),
-        ("throughput", MachineConfig::psi_throughput()),
-        ("throughput/indexed", throughput_indexed),
+        ("fast", MachineConfig::psi_compiled()),
+        ("fast/indexed", fast_indexed),
     ]
 }
 

@@ -2,11 +2,12 @@
 //! hands its next session exactly what a freshly loaded machine would
 //! — bit-identical solutions and statistics, zero stale events,
 //! metrics, trace entries or buffered output — while keeping loaded
-//! code and the predecode cache warm.
+//! code and the fused program warm.
 
 use psi::kl0::Program;
 use psi::psi_machine::{Machine, MachineConfig, ResourceLimits};
 use psi::psi_obs::Counter;
+use psi::psi_server::serving_config;
 
 const SRC: &str = "
 qsort([], []).
@@ -21,14 +22,6 @@ app([H|T], L, [H|R]) :- app(T, L, R).
 ";
 
 const GOAL: &str = "qsort([7,3,9,1,5,8,2], S)";
-
-/// The serving profile: throughput lane plus clause indexing — what
-/// psi-server runs pooled machines with.
-fn serving_config() -> MachineConfig {
-    let mut config = MachineConfig::psi_throughput();
-    config.clause_indexing = true;
-    config
-}
 
 /// consult → solve → recycle → solve must be indistinguishable from a
 /// fresh machine running the same solve: identical solutions and
@@ -60,7 +53,7 @@ fn recycled_machine_is_bitwise_identical_to_fresh() {
         assert_eq!(f.choice_points, p.choice_points);
         assert_eq!(f.indexed_calls, p.indexed_calls);
         assert_eq!(f.index_direct_entries, p.index_direct_entries);
-        // In the throughput lane the cache model is off, so the whole
+        // In the fast lane the cache model is off, so the whole
         // stats struct compares bit-identical (the extra consulted
         // code shifts heap addresses, which only the fidelity-lane
         // cache model can see).

@@ -1,27 +1,33 @@
-//! Three-lane equivalence: the compiled lane
-//! (`MachineConfig::psi_compiled()` — fused ops, superinstruction
-//! chaining, packetized microstep charging) must be observationally
-//! identical to both the fidelity lane and the throughput lane for
-//! everything the paper's tables derive from microstep accounting —
-//! solutions and bindings, total steps, per-module tallies (Table 2),
-//! branch-field tallies (Table 7), call/choice-point counts and
-//! indexing stats — on every Table 1 row, under both indexing
-//! profiles, including resource-budget trip points and panic
-//! containment.
+//! Lane equivalence: the fast lane (`MachineConfig::psi_compiled()`,
+//! measurement off — fused ops, superinstruction chaining,
+//! packetized microstep charging) must be observationally identical
+//! to the fidelity lane (`MachineConfig::psi()`) for everything the
+//! paper's tables derive from microstep accounting — solutions and
+//! bindings, total steps, per-module tallies (Table 2), branch-field
+//! tallies (Table 7), call/choice-point counts and indexing stats —
+//! on every Table 1 row, under both indexing profiles, including
+//! resource-budget trip points and panic containment.
+//!
+//! Quantities that exist *only* to be measured — work-file access
+//! counts (Table 6), cache statistics (Tables 3–5), stall time — are
+//! deliberately not compared: skipping them is the point of the fast
+//! lane.
 
 use psi::kl0::Program;
 use psi::psi_core::{Measurement, PsiError, Resource};
 use psi::psi_machine::{Machine, MachineConfig, MachineStats, ResourceLimits};
 use psi::psi_obs::Counter;
+use psi::psi_tools::json::parse_object;
+use psi::psi_tools::snapshot::{restore, snapshot};
 use psi::psi_workloads::runner::{
     run_on_psi, run_on_psi_machine, run_suite_governed_with_runner, Outcome, SuiteOptions,
 };
 use psi::psi_workloads::suite::table1_suite;
 use psi::psi_workloads::Workload;
 
-/// Everything that must be bit-identical across lanes (same view as
-/// `tests/two_lane.rs`): `wf`, `cache`, `stall_ns` and `time_ns`
-/// legitimately differ when measurement is off.
+/// Everything that must be bit-identical across lanes. `MachineStats`
+/// itself is *not* compared wholesale — `wf`, `cache`, `stall_ns` and
+/// `time_ns` legitimately differ when measurement is off.
 fn deterministic_view(stats: &MachineStats) -> impl PartialEq + std::fmt::Debug {
     (
         stats.steps,
@@ -35,12 +41,11 @@ fn deterministic_view(stats: &MachineStats) -> impl PartialEq + std::fmt::Debug 
     )
 }
 
-/// The three lanes in comparison order.
-fn lanes() -> [(&'static str, MachineConfig); 3] {
+/// The two lanes in comparison order.
+fn lanes() -> [(&'static str, MachineConfig); 2] {
     [
         ("fidelity", MachineConfig::psi()),
-        ("throughput", MachineConfig::psi_throughput()),
-        ("compiled", MachineConfig::psi_compiled()),
+        ("fast", MachineConfig::psi_compiled()),
     ]
 }
 
@@ -48,25 +53,22 @@ fn lanes() -> [(&'static str, MachineConfig); 3] {
 fn all_table1_rows_are_lane_invariant_across_three_lanes() {
     for entry in table1_suite() {
         let w = &entry.workload;
-        let (fid, _) = run_on_psi_machine(w, MachineConfig::psi())
+        let (fid, fid_machine) = run_on_psi_machine(w, MachineConfig::psi())
             .unwrap_or_else(|e| panic!("{} fidelity: {e}", w.name));
-        for (lane, config) in [
-            ("throughput", MachineConfig::psi_throughput()),
-            ("compiled", MachineConfig::psi_compiled()),
-        ] {
-            let (run, machine) =
-                run_on_psi_machine(w, config).unwrap_or_else(|e| panic!("{} {lane}: {e}", w.name));
-            assert_eq!(
-                fid.solutions, run.solutions,
-                "{}: solutions differ ({lane} vs fidelity)",
-                w.name
-            );
-            assert_eq!(
-                deterministic_view(&fid.stats),
-                deterministic_view(&run.stats),
-                "{}: deterministic counters differ ({lane} vs fidelity)",
-                w.name
-            );
+        let (fast, fast_machine) = run_on_psi_machine(w, MachineConfig::psi_compiled())
+            .unwrap_or_else(|e| panic!("{} fast: {e}", w.name));
+        assert_eq!(
+            fid.solutions, fast.solutions,
+            "{}: solutions differ",
+            w.name
+        );
+        assert_eq!(
+            deterministic_view(&fid.stats),
+            deterministic_view(&fast.stats),
+            "{}: deterministic counters differ between lanes",
+            w.name
+        );
+        for (lane, machine) in [("fidelity", &fid_machine), ("fast", &fast_machine)] {
             assert_eq!(
                 machine.hot_path_alloc_count(),
                 0,
@@ -78,33 +80,29 @@ fn all_table1_rows_are_lane_invariant_across_three_lanes() {
 }
 
 /// Same property under the first-argument-indexing profile: the lane
-/// flags and the indexing flag must compose without interference.
+/// and the indexing flag must compose without interference.
 #[test]
 fn indexed_profile_is_lane_invariant_across_three_lanes() {
+    let mut fast_indexed = MachineConfig::psi_compiled();
+    fast_indexed.clause_indexing = true;
     for entry in table1_suite() {
         let w = &entry.workload;
         let fid = run_on_psi(w, MachineConfig::psi_indexed())
             .unwrap_or_else(|e| panic!("{} fidelity/indexed: {e}", w.name));
-        for (lane, mut config) in lanes() {
-            if lane == "fidelity" {
-                continue;
-            }
-            config.clause_indexing = true;
-            let run =
-                run_on_psi(w, config).unwrap_or_else(|e| panic!("{} {lane}/indexed: {e}", w.name));
-            assert_eq!(fid.solutions, run.solutions, "{} ({lane})", w.name);
-            assert_eq!(
-                deterministic_view(&fid.stats),
-                deterministic_view(&run.stats),
-                "{}: indexed deterministic counters differ ({lane} vs fidelity)",
-                w.name
-            );
-        }
+        let fast = run_on_psi(w, fast_indexed.clone())
+            .unwrap_or_else(|e| panic!("{} fast/indexed: {e}", w.name));
+        assert_eq!(fid.solutions, fast.solutions, "{}", w.name);
+        assert_eq!(
+            deterministic_view(&fid.stats),
+            deterministic_view(&fast.stats),
+            "{}: indexed deterministic counters differ between lanes",
+            w.name
+        );
     }
 }
 
 /// Bindings, not just rendered solution lines: one query with a named
-/// variable through all three lanes, comparing the bound terms.
+/// variable through both lanes, comparing the bound terms.
 #[test]
 fn solution_bindings_are_lane_invariant_across_three_lanes() {
     let src = "app([], L, L).\n\
@@ -136,7 +134,8 @@ fn solution_bindings_are_lane_invariant_across_three_lanes() {
 
 /// A fused superinstruction covering N microsteps must charge all N
 /// before its constituent's governor tick, so the budget trips at the
-/// same typed error with the same consumption in all three lanes.
+/// same typed error with the same consumption in both lanes — the
+/// fast lane is faster, never less contained.
 #[test]
 fn step_budget_exhaustion_is_lane_invariant_across_three_lanes() {
     let program = Program::parse("spin :- spin.").expect("parses");
@@ -159,16 +158,12 @@ fn step_budget_exhaustion_is_lane_invariant_across_three_lanes() {
     }
     assert_eq!(
         consumed_by_lane[0], consumed_by_lane[1],
-        "throughput lane tripped the step budget at a different point"
-    );
-    assert_eq!(
-        consumed_by_lane[0], consumed_by_lane[2],
-        "compiled lane tripped the step budget at a different point"
+        "fast lane tripped the step budget at a different point"
     );
 }
 
 /// A builtin-heavy chain actually exercises the superinstruction path:
-/// the compiled lane must report fused dispatches and fusion hits,
+/// the fast lane must report fused dispatches and fusion hits,
 /// while its deterministic statistics still match fidelity.
 #[test]
 fn compiled_lane_fuses_builtin_chains() {
@@ -189,28 +184,21 @@ fn compiled_lane_fuses_builtin_chains() {
     let snap = cmp.metrics_snapshot();
     assert!(
         snap.get(Counter::FusedDispatches) > 0,
-        "compiled lane never dispatched from the fused array"
+        "fast lane never dispatched from the fused array"
     );
     assert!(
         snap.get(Counter::FusionHits) > 0,
         "builtin chain produced no superinstruction continuations"
     );
-    // The fused array, not the predecode cache, serves the hot path.
-    assert_eq!(
-        snap.get(Counter::PredecodeMisses),
-        0,
-        "compiled lane fell back to the predecode path"
-    );
-    // The other lanes report no fused activity at all.
+    // The fidelity lane reports no fused activity at all.
     assert_eq!(fid.metrics_snapshot().get(Counter::FusedDispatches), 0);
 }
 
 /// Regression (fork × append-only consult): `sync_code` grows the
-/// shared predecode cache and fused program behind `Arc::make_mut`.
-/// A fork followed by an incremental consult — in either order, in
-/// both fast lanes — must never serve a stale entry for any code word,
-/// and must stay bit-identical to a machine freshly loaded with the
-/// same final source.
+/// shared fused program behind `Arc::make_mut`. A fork followed by an
+/// incremental consult — in either order — must never serve a stale
+/// entry for any code word, and must stay bit-identical to a machine
+/// freshly loaded with the same final source.
 #[test]
 fn fork_then_consult_never_serves_stale_decode_or_fused_entries() {
     let base = "gen(z).\ngen(s(X)) :- gen(X).";
@@ -218,57 +206,51 @@ fn fork_then_consult_never_serves_stale_decode_or_fused_entries() {
                  big(s(s(s(_)))).";
     let combined = format!("{base}\n{extra}");
     let goal = "top(T)";
-    for (lane, config) in lanes() {
-        if lane == "fidelity" {
-            continue; // decode/fused caches exist only off the fidelity lane
-        }
-        let reference = {
-            let program = Program::parse(&combined).expect("parses");
-            let mut m = Machine::load(&program, config.clone()).expect("loads");
-            let solutions = m.solve(goal, 2).expect("solves");
-            (solutions, format!("{:?}", deterministic_view(&m.stats())))
-        };
+    let config = MachineConfig::psi_compiled();
+    let reference = {
+        let program = Program::parse(&combined).expect("parses");
+        let mut m = Machine::load(&program, config.clone()).expect("loads");
+        let solutions = m.solve(goal, 2).expect("solves");
+        (solutions, format!("{:?}", deterministic_view(&m.stats())))
+    };
 
-        // Direction 1: fork first, consult the extra clauses in the
-        // fork. The fork's consult must detach its own caches, not
-        // mutate the template's.
-        let program = Program::parse(base).expect("parses");
-        let template = Machine::load(&program, config.clone()).expect("loads");
-        let mut fork = template.fork().expect("forks");
-        fork.consult(extra).expect("consults");
-        let solutions = fork.solve(goal, 2).expect("solves");
-        assert_eq!(reference.0, solutions, "{lane}: fork-then-consult diverged");
-        assert_eq!(
-            reference.1,
-            format!("{:?}", deterministic_view(&fork.stats())),
-            "{lane}: fork-then-consult stats diverged"
-        );
+    // Direction 1: fork first, consult the extra clauses in the
+    // fork. The fork's consult must detach its own fused program, not
+    // mutate the template's.
+    let program = Program::parse(base).expect("parses");
+    let template = Machine::load(&program, config.clone()).expect("loads");
+    let mut fork = template.fork().expect("forks");
+    fork.consult(extra).expect("consults");
+    let solutions = fork.solve(goal, 2).expect("solves");
+    assert_eq!(reference.0, solutions, "fork-then-consult diverged");
+    assert_eq!(
+        reference.1,
+        format!("{:?}", deterministic_view(&fork.stats())),
+        "fork-then-consult stats diverged"
+    );
 
-        // The template is untouched and still forks the base program.
-        let mut plain = template.fork().expect("template still pristine");
-        assert_eq!(
-            plain.solve("gen(s(z))", 1).expect("solves").len(),
-            1,
-            "{lane}: template corrupted by the fork's consult"
-        );
+    // The template is untouched and still forks the base program.
+    let mut plain = template.fork().expect("template still pristine");
+    assert_eq!(
+        plain.solve("gen(s(z))", 1).expect("solves").len(),
+        1,
+        "template corrupted by the fork's consult"
+    );
 
-        // Direction 2: consult the extra clauses in the template
-        // *before* forking; the fork inherits the full caches and
-        // must see every entry, including ones the template already
-        // warmed by... never running (templates cannot run), so warm
-        // the fork itself twice to cover the warmed-cache path too.
-        let program = Program::parse(base).expect("parses");
-        let mut template = Machine::load(&program, config.clone()).expect("loads");
-        template.consult(extra).expect("consults");
-        let mut fork = template.fork().expect("forks");
-        let solutions = fork.solve(goal, 2).expect("solves");
-        assert_eq!(reference.0, solutions, "{lane}: consult-then-fork diverged");
-        let again = fork.solve(goal, 2).expect("re-solves");
-        assert_eq!(reference.0, again, "{lane}: warmed re-solve diverged");
-    }
+    // Direction 2: consult the extra clauses in the template
+    // *before* forking; the fork inherits the full fused program and
+    // must see every entry. Solve twice to cover a warmed re-solve.
+    let program = Program::parse(base).expect("parses");
+    let mut template = Machine::load(&program, config.clone()).expect("loads");
+    template.consult(extra).expect("consults");
+    let mut fork = template.fork().expect("forks");
+    let solutions = fork.solve(goal, 2).expect("solves");
+    assert_eq!(reference.0, solutions, "consult-then-fork diverged");
+    let again = fork.solve(goal, 2).expect("re-solves");
+    assert_eq!(reference.0, again, "warmed re-solve diverged");
 }
 
-/// Panic containment composes with the compiled lane: one injected
+/// Panic containment composes with the fast lane: one injected
 /// fault costs exactly its own row, and the surviving rows carry the
 /// same deterministic counters as serial fidelity runs.
 #[test]
@@ -308,29 +290,84 @@ fn fault_isolation_holds_in_the_compiled_lane() {
         assert_eq!(
             deterministic_view(&serial.stats),
             deterministic_view(&governed.stats),
-            "{}: governed compiled-lane row diverges from serial fidelity run",
+            "{}: governed fast-lane row diverges from serial fidelity run",
             w.name
         );
     }
 }
 
-/// The compiled flag is only honored together with measurement-off:
-/// a full-measurement config with `compiled: true` still runs the
-/// fidelity lane (the cache model needs per-access fidelity), with
-/// cache statistics intact.
+const SNAPSHOT_SRC: &str = "p(1). p(2). q(X) :- p(X).";
+
+/// A snapshot line as written before `MachineConfig` lost its
+/// `compiled` flag: the stock cached machine on lane `measurement`
+/// with the flag set to `compiled`. The image fields are read from a
+/// fresh snapshot of the same source, so the line restores.
+fn pre_change_snapshot(measurement: &str, compiled: bool) -> String {
+    let template = Machine::load(
+        &Program::parse(SNAPSHOT_SRC).expect("parses"),
+        MachineConfig::psi(),
+    )
+    .expect("loads");
+    let fresh = parse_object(&snapshot(&template, SNAPSHOT_SRC).expect("snapshots")).expect("json");
+    let image = |key: &str| fresh.u64_field(key).expect("image field");
+    format!(
+        "{{\"schema\":\"psi-snapshot-v1\",\"source\":\"{SNAPSHOT_SRC}\",\"cycle_ns\":200,\
+         \"frame_buffering\":true,\"tail_recursion_opt\":true,\"trace_memory\":false,\
+         \"trace_events\":false,\"clause_indexing\":false,\"measurement\":\"{measurement}\",\
+         \"compiled\":{compiled},\"cache\":true,\"cache_capacity_words\":8192,\
+         \"cache_block_words\":4,\"cache_ways\":2,\"cache_policy\":\"store_in\",\
+         \"cache_write_stack_no_fetch\":true,\"cache_hit_ns\":200,\"cache_miss_ns\":800,\
+         \"cache_memory_busy_ns\":800,\"image_words\":{},\"image_preds\":{},\"image_fnv\":{}}}",
+        image("image_words"),
+        image("image_preds"),
+        image("image_fnv"),
+    )
+}
+
+/// Solves the same goal on a restored machine and on a fresh load of
+/// `reference`, returning both machines for the caller's checks.
+fn restore_and_compare(line: &str, reference: MachineConfig) -> (Machine, Machine) {
+    let mut restored = restore(line).expect("pre-change snapshot restores");
+    let program = Program::parse(SNAPSHOT_SRC).expect("parses");
+    let mut fresh = Machine::load(&program, reference).expect("loads");
+    assert_eq!(
+        restored.solve("q(X)", 9).expect("solves"),
+        fresh.solve("q(X)", 9).expect("solves")
+    );
+    assert_eq!(
+        deterministic_view(&restored.stats()),
+        deterministic_view(&fresh.stats())
+    );
+    (restored, fresh)
+}
+
+/// A pre-change snapshot that set `compiled` on the fidelity lane —
+/// a setting that never left the fidelity lane — still restores onto
+/// the fidelity lane, cache statistics intact.
 #[test]
 fn compiled_flag_is_inert_in_the_fidelity_lane() {
-    let mut config = MachineConfig::psi();
-    config.compiled = true;
-    assert_eq!(config.measurement, Measurement::Full);
-    let program = Program::parse("p(1). p(2).").expect("parses");
-    let mut m = Machine::load(&program, config).expect("loads");
-    let mut reference = Machine::load(&program, MachineConfig::psi()).expect("loads");
+    let line = pre_change_snapshot("fidelity", true);
+    let (restored, fresh) = restore_and_compare(&line, MachineConfig::psi());
+    assert_eq!(restored.config().measurement, Measurement::Full);
     assert_eq!(
-        m.solve("p(X)", 9).expect("solves"),
-        reference.solve("p(X)", 9).expect("solves")
+        restored.stats(),
+        fresh.stats(),
+        "fidelity stats (including cache) must be untouched"
     );
-    let (a, b) = (m.stats(), reference.stats());
-    assert_eq!(a, b, "fidelity stats (including cache) must be untouched");
-    assert_eq!(m.metrics_snapshot().get(Counter::FusedDispatches), 0);
+    assert_eq!(restored.metrics_snapshot().get(Counter::FusedDispatches), 0);
+}
+
+/// Pre-change throughput-lane snapshots, with or without the
+/// `compiled` flag, restore onto the fast lane.
+#[test]
+fn throughput_snapshots_restore_onto_the_fast_lane() {
+    for compiled in [false, true] {
+        let line = pre_change_snapshot("throughput", compiled);
+        let (restored, _) = restore_and_compare(&line, MachineConfig::psi_compiled());
+        assert_eq!(restored.config().measurement, Measurement::Off);
+        assert!(
+            restored.metrics_snapshot().get(Counter::FusedDispatches) > 0,
+            "compiled={compiled}: restored machine is not on the fast lane"
+        );
+    }
 }
