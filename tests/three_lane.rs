@@ -1,165 +1,57 @@
-//! Lane equivalence: the fast lane (`MachineConfig::psi_compiled()`,
-//! measurement off — fused ops, superinstruction chaining,
-//! packetized microstep charging) must be observationally identical
-//! to the fidelity lane (`MachineConfig::psi()`) for everything the
-//! paper's tables derive from microstep accounting — solutions and
-//! bindings, total steps, per-module tallies (Table 2), branch-field
-//! tallies (Table 7), call/choice-point counts and indexing stats —
-//! on every Table 1 row, under both indexing profiles, including
-//! resource-budget trip points and panic containment.
+//! Lane equivalence across the three pre-change lane settings. Before
+//! `MachineConfig` lost its `compiled` flag, the fidelity, throughput
+//! (measurement off) and compiled (measurement off plus `compiled`)
+//! settings selected three lanes; they now select two. A machine
+//! restored from a snapshot written under either fast setting must
+//! run on the fast lane and stay observationally identical to the
+//! fidelity lane on every Table 1 row, under both indexing profiles,
+//! including resource-budget trip points and panic containment (the
+//! checks live in `tests/lanes/mod.rs`).
 //!
-//! Quantities that exist *only* to be measured — work-file access
-//! counts (Table 6), cache statistics (Tables 3–5), stall time — are
-//! deliberately not compared: skipping them is the point of the fast
-//! lane.
+//! The file also holds the fast lane's own checks: fusion actually
+//! runs, fork × consult never serves a stale fused entry, and
+//! pre-change snapshots restore onto the right lane.
 
+mod lanes;
+
+use lanes::{deterministic_view, Lane};
 use psi::kl0::Program;
-use psi::psi_core::{Measurement, PsiError, Resource};
-use psi::psi_machine::{Machine, MachineConfig, MachineStats, ResourceLimits};
+use psi::psi_core::Measurement;
+use psi::psi_machine::{Machine, MachineConfig};
 use psi::psi_obs::Counter;
 use psi::psi_tools::json::parse_object;
 use psi::psi_tools::snapshot::{restore, snapshot};
-use psi::psi_workloads::runner::{
-    run_on_psi, run_on_psi_machine, run_suite_governed_with_runner, Outcome, SuiteOptions,
-};
-use psi::psi_workloads::suite::table1_suite;
-use psi::psi_workloads::Workload;
 
-/// Everything that must be bit-identical across lanes. `MachineStats`
-/// itself is *not* compared wholesale — `wf`, `cache`, `stall_ns` and
-/// `time_ns` legitimately differ when measurement is off.
-fn deterministic_view(stats: &MachineStats) -> impl PartialEq + std::fmt::Debug {
-    (
-        stats.steps,
-        stats.modules,
-        stats.branches,
-        stats.user_calls,
-        stats.builtin_calls,
-        stats.choice_points,
-        stats.indexed_calls,
-        stats.index_direct_entries,
-    )
-}
-
-/// The two lanes in comparison order.
-fn lanes() -> [(&'static str, MachineConfig); 2] {
-    [
-        ("fidelity", MachineConfig::psi()),
-        ("fast", MachineConfig::psi_compiled()),
-    ]
+/// The two pre-change fast settings, as read back from snapshots
+/// written under them.
+fn pre_change_fast_lanes() -> [Lane; 2] {
+    let config = |compiled: bool| {
+        restore(&pre_change_snapshot("throughput", compiled))
+            .expect("pre-change snapshot restores")
+            .config()
+            .clone()
+    };
+    [("throughput", config(false)), ("compiled", config(true))]
 }
 
 #[test]
 fn all_table1_rows_are_lane_invariant_across_three_lanes() {
-    for entry in table1_suite() {
-        let w = &entry.workload;
-        let (fid, fid_machine) = run_on_psi_machine(w, MachineConfig::psi())
-            .unwrap_or_else(|e| panic!("{} fidelity: {e}", w.name));
-        let (fast, fast_machine) = run_on_psi_machine(w, MachineConfig::psi_compiled())
-            .unwrap_or_else(|e| panic!("{} fast: {e}", w.name));
-        assert_eq!(
-            fid.solutions, fast.solutions,
-            "{}: solutions differ",
-            w.name
-        );
-        assert_eq!(
-            deterministic_view(&fid.stats),
-            deterministic_view(&fast.stats),
-            "{}: deterministic counters differ between lanes",
-            w.name
-        );
-        for (lane, machine) in [("fidelity", &fid_machine), ("fast", &fast_machine)] {
-            assert_eq!(
-                machine.hot_path_alloc_count(),
-                0,
-                "{}: {lane} lane allocated on the hot path",
-                w.name
-            );
-        }
-    }
+    lanes::assert_table1_rows_match_fidelity(&pre_change_fast_lanes());
 }
 
-/// Same property under the first-argument-indexing profile: the lane
-/// and the indexing flag must compose without interference.
 #[test]
 fn indexed_profile_is_lane_invariant_across_three_lanes() {
-    let mut fast_indexed = MachineConfig::psi_compiled();
-    fast_indexed.clause_indexing = true;
-    for entry in table1_suite() {
-        let w = &entry.workload;
-        let fid = run_on_psi(w, MachineConfig::psi_indexed())
-            .unwrap_or_else(|e| panic!("{} fidelity/indexed: {e}", w.name));
-        let fast = run_on_psi(w, fast_indexed.clone())
-            .unwrap_or_else(|e| panic!("{} fast/indexed: {e}", w.name));
-        assert_eq!(fid.solutions, fast.solutions, "{}", w.name);
-        assert_eq!(
-            deterministic_view(&fid.stats),
-            deterministic_view(&fast.stats),
-            "{}: indexed deterministic counters differ between lanes",
-            w.name
-        );
-    }
+    lanes::assert_indexed_rows_match_fidelity(&pre_change_fast_lanes());
 }
 
-/// Bindings, not just rendered solution lines: one query with a named
-/// variable through both lanes, comparing the bound terms.
 #[test]
 fn solution_bindings_are_lane_invariant_across_three_lanes() {
-    let src = "app([], L, L).\n\
-               app([H|T], L, [H|R]) :- app(T, L, R).\n\
-               perm([], []).\n\
-               perm(L, [H|T]) :- sel(H, L, R), perm(R, T).\n\
-               sel(X, [X|T], T).\n\
-               sel(X, [H|T], [H|R]) :- sel(X, T, R).";
-    let program = Program::parse(src).expect("parses");
-    let reference: Vec<Option<String>> = {
-        let mut m = Machine::load(&program, MachineConfig::psi()).expect("loads");
-        let solutions = m.solve("perm([1,2,3], P)", usize::MAX).expect("solves");
-        assert_eq!(solutions.len(), 6);
-        solutions
-            .iter()
-            .map(|s| s.binding("P").map(|b| b.to_string()))
-            .collect()
-    };
-    for (lane, config) in lanes() {
-        let mut m = Machine::load(&program, config).expect("loads");
-        let solutions = m.solve("perm([1,2,3], P)", usize::MAX).expect("solves");
-        let got: Vec<Option<String>> = solutions
-            .iter()
-            .map(|s| s.binding("P").map(|b| b.to_string()))
-            .collect();
-        assert_eq!(reference, got, "bindings diverge in the {lane} lane");
-    }
+    lanes::assert_bindings_match_fidelity(&pre_change_fast_lanes());
 }
 
-/// A fused superinstruction covering N microsteps must charge all N
-/// before its constituent's governor tick, so the budget trips at the
-/// same typed error with the same consumption in both lanes — the
-/// fast lane is faster, never less contained.
 #[test]
 fn step_budget_exhaustion_is_lane_invariant_across_three_lanes() {
-    let program = Program::parse("spin :- spin.").expect("parses");
-    let limit = 150_000u64;
-    let mut consumed_by_lane = Vec::new();
-    for (lane, mut config) in lanes() {
-        config.limits = ResourceLimits::unlimited().with_max_steps(limit);
-        let mut machine = Machine::load(&program, config).expect("loads");
-        match machine.solve("spin", 1) {
-            Err(PsiError::ResourceExhausted {
-                resource: Resource::Steps,
-                limit: l,
-                consumed,
-            }) => {
-                assert_eq!(l, limit, "{lane}");
-                consumed_by_lane.push(consumed);
-            }
-            other => panic!("{lane}: expected step exhaustion, got {other:?}"),
-        }
-    }
-    assert_eq!(
-        consumed_by_lane[0], consumed_by_lane[1],
-        "fast lane tripped the step budget at a different point"
-    );
+    lanes::assert_step_budget_trips_like_fidelity(&pre_change_fast_lanes());
 }
 
 /// A builtin-heavy chain actually exercises the superinstruction path:
@@ -250,50 +142,10 @@ fn fork_then_consult_never_serves_stale_decode_or_fused_entries() {
     assert_eq!(reference.0, again, "warmed re-solve diverged");
 }
 
-/// Panic containment composes with the fast lane: one injected
-/// fault costs exactly its own row, and the surviving rows carry the
-/// same deterministic counters as serial fidelity runs.
 #[test]
 fn fault_isolation_holds_in_the_compiled_lane() {
-    let workloads: Vec<Workload> = table1_suite().into_iter().map(|e| e.workload).collect();
-    let poisoned = "quick sort";
-    let config = MachineConfig::psi_compiled();
-    let options = SuiteOptions {
-        threads: 4,
-        deadline: None,
-        max_retries: 0,
-    };
-    let report = run_suite_governed_with_runner(&workloads, &config, &options, |w, c| {
-        if w.name == poisoned {
-            panic!("injected fault");
-        }
-        run_on_psi(w, c)
-    });
-    assert_eq!(report.rows.len(), workloads.len());
-    assert_eq!(report.panicked_count(), 1);
-    assert_eq!(report.ok_count(), workloads.len() - 1);
-
-    for (w, row) in workloads.iter().zip(&report.rows) {
-        if w.name == poisoned {
-            assert!(
-                matches!(&row.outcome, Outcome::Panicked { detail } if detail.contains(poisoned)),
-                "poisoned row not contained: {}",
-                row.outcome.label()
-            );
-            continue;
-        }
-        let governed = row
-            .run()
-            .unwrap_or_else(|| panic!("{} should be ok", w.name));
-        let serial = run_on_psi(w, MachineConfig::psi()).expect("serial fidelity run succeeds");
-        assert_eq!(serial.solutions, governed.solutions, "{}", w.name);
-        assert_eq!(
-            deterministic_view(&serial.stats),
-            deterministic_view(&governed.stats),
-            "{}: governed fast-lane row diverges from serial fidelity run",
-            w.name
-        );
-    }
+    let [_, compiled] = pre_change_fast_lanes();
+    lanes::assert_fault_isolation_holds(&[compiled]);
 }
 
 const SNAPSHOT_SRC: &str = "p(1). p(2). q(X) :- p(X).";

@@ -1,193 +1,44 @@
-//! Cross-lane equivalence: the throughput lane
-//! (`MachineConfig::psi_throughput()`, measurement off) must be
-//! observationally identical to the fidelity lane for everything the
+//! Lane equivalence: the fast lane (`MachineConfig::psi_compiled()`,
+//! measurement off — fused ops, superinstruction chaining,
+//! packetized microstep charging) must be observationally identical
+//! to the fidelity lane (`MachineConfig::psi()`) for everything the
 //! paper's tables derive from microstep accounting — solutions and
 //! bindings, total steps, per-module tallies (Table 2), branch-field
-//! tallies (Table 7), call/choice-point counts and indexing stats.
-//!
-//! Quantities that exist *only* to be measured — work-file access
-//! counts (Table 6), cache statistics (Tables 3–5), stall time — are
-//! deliberately not compared: skipping them is the whole point of the
-//! throughput lane.
+//! tallies (Table 7), call/choice-point counts and indexing stats —
+//! on every Table 1 row, under both indexing profiles, including
+//! resource-budget trip points and panic containment.
 
-use psi::kl0::Program;
-use psi::psi_core::{PsiError, Resource};
-use psi::psi_machine::{Machine, MachineConfig, MachineStats, ResourceLimits};
-use psi::psi_workloads::runner::{
-    run_on_psi, run_on_psi_machine, run_suite_governed_with_runner, Outcome, SuiteOptions,
-};
-use psi::psi_workloads::suite::table1_suite;
-use psi::psi_workloads::Workload;
+mod lanes;
 
-/// Everything that must be bit-identical across lanes. `MachineStats`
-/// itself is *not* compared wholesale — `wf`, `cache`, `stall_ns` and
-/// `time_ns` legitimately differ when measurement is off.
-fn deterministic_view(stats: &MachineStats) -> impl PartialEq + std::fmt::Debug {
-    (
-        stats.steps,
-        stats.modules,
-        stats.branches,
-        stats.user_calls,
-        stats.builtin_calls,
-        stats.choice_points,
-        stats.indexed_calls,
-        stats.index_direct_entries,
-    )
+use lanes::Lane;
+use psi::psi_machine::MachineConfig;
+
+fn fast() -> [Lane; 1] {
+    [("fast", MachineConfig::psi_compiled())]
 }
 
 #[test]
 fn all_table1_rows_are_lane_invariant() {
-    for entry in table1_suite() {
-        let w = &entry.workload;
-        let (fid, fid_machine) = run_on_psi_machine(w, MachineConfig::psi()).unwrap_or_else(|e| {
-            panic!("{} fidelity: {e}", w.name);
-        });
-        let (thr, thr_machine) = run_on_psi_machine(w, MachineConfig::psi_throughput())
-            .unwrap_or_else(|e| {
-                panic!("{} throughput: {e}", w.name);
-            });
-        assert_eq!(fid.solutions, thr.solutions, "{}: solutions differ", w.name);
-        assert_eq!(
-            deterministic_view(&fid.stats),
-            deterministic_view(&thr.stats),
-            "{}: deterministic counters differ between lanes",
-            w.name
-        );
-        assert_eq!(
-            fid_machine.hot_path_alloc_count(),
-            0,
-            "{}: fidelity lane allocated on the hot path",
-            w.name
-        );
-        assert_eq!(
-            thr_machine.hot_path_alloc_count(),
-            0,
-            "{}: throughput lane allocated on the hot path",
-            w.name
-        );
-    }
+    lanes::assert_table1_rows_match_fidelity(&fast());
 }
 
-/// Same property under the first-argument-indexing profile: the lane
-/// flag and the indexing flag must compose without interference.
 #[test]
 fn indexed_profile_is_lane_invariant() {
-    let mut throughput_indexed = MachineConfig::psi_indexed();
-    throughput_indexed.measurement = psi::psi_core::Measurement::Off;
-    for entry in table1_suite() {
-        let w = &entry.workload;
-        let fid = run_on_psi(w, MachineConfig::psi_indexed())
-            .unwrap_or_else(|e| panic!("{} fidelity/indexed: {e}", w.name));
-        let thr = run_on_psi(w, throughput_indexed.clone())
-            .unwrap_or_else(|e| panic!("{} throughput/indexed: {e}", w.name));
-        assert_eq!(fid.solutions, thr.solutions, "{}", w.name);
-        assert_eq!(
-            deterministic_view(&fid.stats),
-            deterministic_view(&thr.stats),
-            "{}: indexed deterministic counters differ between lanes",
-            w.name
-        );
-    }
+    lanes::assert_indexed_rows_match_fidelity(&fast());
 }
 
-/// Bindings, not just rendered solution lines: drive one query with a
-/// named variable through both lanes and compare the terms it binds.
 #[test]
 fn solution_bindings_are_lane_invariant() {
-    let src = "app([], L, L).\n\
-               app([H|T], L, [H|R]) :- app(T, L, R).\n\
-               perm([], []).\n\
-               perm(L, [H|T]) :- sel(H, L, R), perm(R, T).\n\
-               sel(X, [X|T], T).\n\
-               sel(X, [H|T], [H|R]) :- sel(X, T, R).";
-    let program = Program::parse(src).expect("parses");
-    let mut fid = Machine::load(&program, MachineConfig::psi()).expect("loads");
-    let mut thr = Machine::load(&program, MachineConfig::psi_throughput()).expect("loads");
-    let fid_solutions = fid.solve("perm([1,2,3], P)", usize::MAX).expect("solves");
-    let thr_solutions = thr.solve("perm([1,2,3], P)", usize::MAX).expect("solves");
-    assert_eq!(fid_solutions.len(), 6);
-    assert_eq!(fid_solutions.len(), thr_solutions.len());
-    for (f, t) in fid_solutions.iter().zip(&thr_solutions) {
-        assert_eq!(
-            f.binding("P").map(|b| b.to_string()),
-            t.binding("P").map(|b| b.to_string()),
-            "bindings diverge between lanes"
-        );
-    }
+    lanes::assert_bindings_match_fidelity(&fast());
 }
 
-/// Resource budgets meter the same step counter in both lanes, so a
-/// budget must trip at the same typed error with the same consumption
-/// — the throughput lane is faster, never less contained.
 #[test]
 fn step_budget_exhaustion_is_lane_invariant() {
-    let program = Program::parse("spin :- spin.").expect("parses");
-    let limit = 150_000u64;
-    let mut consumed_by_lane = Vec::new();
-    for config in [MachineConfig::psi(), MachineConfig::psi_throughput()] {
-        let mut config = config;
-        config.limits = ResourceLimits::unlimited().with_max_steps(limit);
-        let mut machine = Machine::load(&program, config).expect("loads");
-        match machine.solve("spin", 1) {
-            Err(PsiError::ResourceExhausted {
-                resource: Resource::Steps,
-                limit: l,
-                consumed,
-            }) => {
-                assert_eq!(l, limit);
-                consumed_by_lane.push(consumed);
-            }
-            other => panic!("expected step exhaustion, got {other:?}"),
-        }
-    }
-    assert_eq!(
-        consumed_by_lane[0], consumed_by_lane[1],
-        "lanes tripped the step budget at different points"
-    );
+    lanes::assert_step_budget_trips_like_fidelity(&fast());
 }
 
-/// Panic containment composes with the throughput lane: one injected
-/// fault costs exactly its own row, and the surviving rows carry the
-/// same deterministic counters as serial fidelity runs.
+/// The fast lane was formerly called the throughput lane.
 #[test]
 fn fault_isolation_holds_in_the_throughput_lane() {
-    let workloads: Vec<Workload> = table1_suite().into_iter().map(|e| e.workload).collect();
-    let poisoned = "quick sort";
-    let config = MachineConfig::psi_throughput();
-    let options = SuiteOptions {
-        threads: 4,
-        deadline: None,
-        max_retries: 0,
-    };
-    let report = run_suite_governed_with_runner(&workloads, &config, &options, |w, c| {
-        if w.name == poisoned {
-            panic!("injected fault");
-        }
-        run_on_psi(w, c)
-    });
-    assert_eq!(report.rows.len(), workloads.len());
-    assert_eq!(report.panicked_count(), 1);
-    assert_eq!(report.ok_count(), workloads.len() - 1);
-
-    for (w, row) in workloads.iter().zip(&report.rows) {
-        if w.name == poisoned {
-            assert!(
-                matches!(&row.outcome, Outcome::Panicked { detail } if detail.contains(poisoned)),
-                "poisoned row not contained: {}",
-                row.outcome.label()
-            );
-            continue;
-        }
-        let governed = row
-            .run()
-            .unwrap_or_else(|| panic!("{} should be ok", w.name));
-        let serial = run_on_psi(w, MachineConfig::psi()).expect("serial fidelity run succeeds");
-        assert_eq!(serial.solutions, governed.solutions, "{}", w.name);
-        assert_eq!(
-            deterministic_view(&serial.stats),
-            deterministic_view(&governed.stats),
-            "{}: governed throughput row diverges from serial fidelity run",
-            w.name
-        );
-    }
+    lanes::assert_fault_isolation_holds(&fast());
 }
