@@ -8,6 +8,7 @@
 //! a fixed number of iterations. Pass a substring argument to run a
 //! subset, e.g. `cargo bench --bench tables -- table1`.
 
+use psi_cache::CacheConfig;
 use psi_core::Measurement;
 use psi_machine::MachineConfig;
 use psi_workloads::runner::{run_on_dec, run_on_psi, run_on_psi_machine, run_suite_parallel};
@@ -114,8 +115,12 @@ fn main() {
         let (run, mut machine) = run_on_psi_machine(&w, config).unwrap();
         let trace = machine.take_trace();
         let steps = run.stats.steps;
+        let capacities: Vec<CacheConfig> = psi_tools::pmms::figure1_capacities()
+            .into_iter()
+            .map(CacheConfig::psi_with_capacity)
+            .collect();
         b.run("figure1/pmms_capacity_sweep", || {
-            psi_tools::pmms::capacity_sweep(&trace, 200, steps)
+            psi_tools::pmms::geometry_sweep(&trace, &capacities, 200, steps, 1)
         });
         b.run("figure1/pmms_policy_study", || {
             psi_tools::pmms::policy_study(&trace, 200, steps)

@@ -3,6 +3,7 @@
 //! in EXPERIMENTS.md ("Regeneration performance") come from this
 //! example: `cargo run --release -p psi-bench --example regen_timing`.
 
+use psi_cache::CacheConfig;
 use psi_core::Measurement;
 use psi_machine::MachineConfig;
 use psi_tools::pmms;
@@ -47,11 +48,15 @@ fn main() {
     let (run, mut machine) = run_on_psi_machine(&w, config).expect("window runs");
     let trace = machine.take_trace();
     let steps = run.stats.steps;
+    let capacities: Vec<CacheConfig> = pmms::figure1_capacities()
+        .into_iter()
+        .map(CacheConfig::psi_with_capacity)
+        .collect();
     let t = Instant::now();
-    let serial_sweep = pmms::capacity_sweep_parallel(&trace, 200, steps, 1);
+    let serial_sweep = pmms::geometry_sweep(&trace, &capacities, 200, steps, 1);
     let serial_s = t.elapsed().as_secs_f64();
     let t = Instant::now();
-    let parallel_sweep = pmms::capacity_sweep_parallel(&trace, 200, steps, threads);
+    let parallel_sweep = pmms::geometry_sweep(&trace, &capacities, 200, steps, threads);
     let parallel_s = t.elapsed().as_secs_f64();
     assert_eq!(serial_sweep, parallel_sweep, "sweep must be identical");
     println!(

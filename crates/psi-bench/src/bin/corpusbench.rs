@@ -17,9 +17,11 @@
 //! oracle, or differs between cells.
 
 use psi_machine::MachineConfig;
+use psi_tools::json::{ObjectBuilder, ReportBuilder};
 use psi_workloads::corpus::{generate, CorpusProgram, CorpusSpec};
 use psi_workloads::runner::{run_suite_governed, Outcome, SuiteOptions};
 use psi_workloads::Workload;
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 /// Pinned master seed: the corpus CI runs and EXPERIMENTS.md record.
@@ -61,20 +63,6 @@ fn run_cell(name: &str, base: MachineConfig, indexed: bool, workloads: &[Workloa
         steps,
         errors,
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn main() -> ExitCode {
@@ -175,14 +163,10 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut families: Vec<(&str, usize)> = Vec::new();
+    let mut families: BTreeMap<&str, u64> = BTreeMap::new();
     for p in &corpus {
-        match families.iter_mut().find(|(f, _)| *f == p.family) {
-            Some((_, n)) => *n += 1,
-            None => families.push((p.family, 1)),
-        }
+        *families.entry(p.family).or_default() += 1;
     }
-    families.sort_unstable();
     for (family, n) in &families {
         println!("  {family:<12} {n} programs");
     }
@@ -193,45 +177,30 @@ fn main() -> ExitCode {
         eprintln!("corpusbench: ... and {} more", mismatches.len() - 20);
     }
 
-    let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"psi-bench-corpus-v2\",\n");
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!("  \"count\": {},\n", corpus.len()));
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str("  \"families\": {\n");
-    for (j, (family, n)) in families.iter().enumerate() {
-        json.push_str(&format!(
-            "    \"{family}\": {n}{}\n",
-            if j + 1 < families.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  },\n");
-    json.push_str("  \"cells\": [\n");
-    for (j, r) in results.iter().enumerate() {
-        let total_steps: u64 = r.steps.iter().sum();
-        json.push_str(&format!(
-            "    {{ \"cell\": \"{}\", \"ok\": {}, \"total_steps\": {} }}{}\n",
-            r.cell,
-            corpus.len() - r.errors.len(),
-            total_steps,
-            if j + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!("  \"mismatches\": {},\n", mismatches.len()));
-    json.push_str("  \"mismatch_detail\": [\n");
-    for (j, m) in mismatches.iter().take(20).enumerate() {
-        json.push_str(&format!(
-            "    \"{}\"{}\n",
-            json_escape(m),
-            if j + 1 < mismatches.len().min(20) {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    json.push_str("  ]\n}\n");
+    let families = families.iter().map(|(family, n)| {
+        ObjectBuilder::new()
+            .str("family", family)
+            .u64("programs", *n)
+    });
+    let cells = results.iter().map(|r| {
+        ObjectBuilder::new()
+            .str("cell", &r.cell)
+            .u64("ok", (corpus.len() - r.errors.len()) as u64)
+            .u64("total_steps", r.steps.iter().sum())
+    });
+    let details = mismatches
+        .iter()
+        .take(20)
+        .map(|m| ObjectBuilder::new().str("detail", m));
+    let json = ReportBuilder::new("psi-bench-corpus-v3")
+        .u64("seed", seed)
+        .u64("count", corpus.len() as u64)
+        .bool("quick", quick)
+        .u64("mismatches", mismatches.len() as u64)
+        .array("families", families)
+        .array("cells", cells)
+        .array("mismatch_detail", details)
+        .finish();
     if let Err(e) = std::fs::write(&out_path, json) {
         eprintln!("corpusbench: cannot write {out_path}: {e}");
         return ExitCode::FAILURE;

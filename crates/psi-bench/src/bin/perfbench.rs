@@ -80,8 +80,11 @@ fn main() -> ExitCode {
 
     // Read the archived report before overwriting it.
     let archived = if check_steps {
-        match std::fs::read_to_string(path) {
-            Ok(json) => archived_steps(&json),
+        let archived = std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|json| archived_steps(&json).map_err(|e| e.to_string()));
+        match archived {
+            Ok(steps) => steps,
             Err(e) => {
                 eprintln!("perfbench: --check-steps needs an existing report at `{out_path}`: {e}");
                 return ExitCode::FAILURE;

@@ -3,8 +3,9 @@
 //! Each `tableN_report` / `figure1_report` function runs the
 //! corresponding workloads on the simulators and renders the same
 //! rows the paper reports, side by side with the paper's values
-//! (from [`psi_workloads::suite::paper`]). The binaries in `src/bin`
-//! print one report each; EXPERIMENTS.md archives their output.
+//! (from [`psi_workloads::suite::paper`]). `drift_report --print
+//! SECTION` prints one report (sections listed in
+//! [`drift::TRACKED_SECTIONS`]); EXPERIMENTS.md archives their output.
 //!
 //! The regenerators are fault-isolated: suites run through the
 //! governed runner ([`psi_workloads::runner::run_suite_governed`]),
@@ -482,7 +483,7 @@ pub fn table7_report() -> String {
 /// cell doubles as the two-set and store-in study values
 /// ([`psi_cache::CacheConfig::psi_two_set_8k`] *is* the stock
 /// geometry), so nothing is replayed twice. Byte-identical to the
-/// pre-engine direct `capacity_sweep_parallel` output — the engine's
+/// pre-engine direct `pmms::geometry_sweep` output — the engine's
 /// replay cells go through the same [`psi_tools::pmms`] math.
 pub fn figure1_report() -> String {
     use psi_cache::CacheConfig;

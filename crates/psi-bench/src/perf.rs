@@ -18,18 +18,22 @@
 //! choice points, backtracks) are deterministic and recorded from the
 //! final iteration.
 //!
-//! The report serializes to `BENCH_psi.json` (hand-rolled JSON — the
-//! workspace deliberately has no serde dependency) and doubles as an
+//! The report serializes to `BENCH_psi.json` through the shared
+//! report writer ([`psi_tools::json::ReportBuilder`]) and doubles as an
 //! equivalence check: all four cells of a row must produce identical
 //! solution lists, and the two lanes must agree exactly on every
 //! deterministic counter.
 
 use psi_machine::MachineConfig;
 use psi_obs::Counter;
+use psi_tools::json::{parse_report, ObjectBuilder, ReportBuilder};
 use psi_workloads::runner::run_on_psi_machine;
 use psi_workloads::suite::table1_suite;
 use std::fmt::Write as _;
 use std::time::Instant;
+
+/// Schema tag of the `BENCH_psi.json` report.
+pub const PERF_SCHEMA: &str = "psi-bench-perf-v5";
 
 /// Knobs for one harness run.
 #[derive(Debug, Clone, Copy)]
@@ -172,53 +176,51 @@ impl PerfReport {
         self.rows.iter().filter(|r| !r.lanes_match()).collect()
     }
 
-    /// Serializes the report as pretty-printed JSON.
+    /// Serializes the report through the shared report writer
+    /// ([`ReportBuilder`]).
     ///
-    /// Schema `psi-bench-perf-v4`: top-level `warmup`, `repetitions`,
-    /// and `rows`; each row carries a `fidelity` and a `compiled` lane
-    /// object (in that order — readers of the archive rely on the
-    /// fidelity lane coming first, see [`archived_steps`]), each with
-    /// a `linear` and an `indexed` measurement, plus the fast lane's
-    /// wall-time speedup `speedup_lane_c`. Solution texts are not
-    /// embedded (they can be thousands of bindings); only their count
-    /// and the `solutions_match` / `lanes_match` verdicts are.
+    /// Schema [`PERF_SCHEMA`]: header `warmup` and `repetitions`; a
+    /// `rows` array with one object per program carrying the row
+    /// verdicts (`solutions_match`, `lanes_match`) and the fast lane's
+    /// wall-time speedup `speedup_lane_c`; and a `cells` array with one
+    /// flat object per (program, lane, profile) measurement. Solution
+    /// texts are not embedded (they can be thousands of bindings);
+    /// only their count is.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"schema\": \"psi-bench-perf-v4\",\n");
-        let _ = writeln!(out, "  \"warmup\": {},", self.options.warmup);
-        let _ = writeln!(out, "  \"repetitions\": {},", self.options.repetitions);
-        out.push_str("  \"rows\": [\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            let _ = writeln!(out, "    {{");
-            let _ = writeln!(out, "      \"index\": {},", row.index);
-            let _ = writeln!(out, "      \"program\": \"{}\",", escape(&row.program));
-            let _ = writeln!(
-                out,
-                "      \"solutions\": {},",
-                row.fidelity.linear.solutions.len()
-            );
-            let _ = writeln!(out, "      \"solutions_match\": {},", row.solutions_match());
-            let _ = writeln!(out, "      \"lanes_match\": {},", row.lanes_match());
-            let _ = writeln!(
-                out,
-                "      \"speedup_lane_c\": {:.3},",
-                row.speedup_lane_c()
-            );
-            for (j, (lane, m)) in [("fidelity", &row.fidelity), ("compiled", &row.compiled)]
+        let rows = self.rows.iter().map(|row| {
+            ObjectBuilder::new()
+                .u64("index", row.index as u64)
+                .str("program", &row.program)
+                .bool("solutions_match", row.solutions_match())
+                .bool("lanes_match", row.lanes_match())
+                .f64("speedup_lane_c", (row.speedup_lane_c() * 1e3).round() / 1e3)
+        });
+        let cells = self.rows.iter().flat_map(|row| {
+            [("fidelity", &row.fidelity), ("compiled", &row.compiled)]
                 .into_iter()
-                .enumerate()
-            {
-                let _ = writeln!(out, "      \"{lane}\": {{");
-                let _ = writeln!(out, "        \"linear\": {},", measurement_json(&m.linear));
-                let _ = writeln!(out, "        \"indexed\": {}", measurement_json(&m.indexed));
-                let comma = if j < 1 { "," } else { "" };
-                let _ = writeln!(out, "      }}{comma}");
-            }
-            let comma = if i + 1 < self.rows.len() { "," } else { "" };
-            let _ = writeln!(out, "    }}{comma}");
-        }
-        out.push_str("  ]\n}\n");
-        out
+                .flat_map(move |(lane, m)| {
+                    [("linear", &m.linear), ("indexed", &m.indexed)].map(|(profile, m)| {
+                        ObjectBuilder::new()
+                            .str("program", &row.program)
+                            .str("lane", lane)
+                            .str("profile", profile)
+                            .u64("wall_ns", m.wall_ns)
+                            .u64("sim_ns", m.sim_ns)
+                            .u64("steps", m.steps)
+                            .u64("choice_points", m.choice_points)
+                            .u64("backtracks", m.backtracks)
+                            .u64("indexed_calls", m.indexed_calls)
+                            .u64("index_direct_entries", m.index_direct_entries)
+                            .u64("solutions", m.solutions.len() as u64)
+                    })
+                })
+        });
+        ReportBuilder::new(PERF_SCHEMA)
+            .u64("warmup", self.options.warmup as u64)
+            .u64("repetitions", self.options.repetitions as u64)
+            .array("rows", rows)
+            .array("cells", cells)
+            .finish()
     }
 
     /// Renders a human-readable summary table (one line per row).
@@ -246,35 +248,6 @@ impl PerfReport {
     }
 }
 
-fn measurement_json(m: &ProfileMeasurement) -> String {
-    format!(
-        "{{\"wall_ns\": {}, \"sim_ns\": {}, \"steps\": {}, \"choice_points\": {}, \
-         \"backtracks\": {}, \"indexed_calls\": {}, \"index_direct_entries\": {}}}",
-        m.wall_ns,
-        m.sim_ns,
-        m.steps,
-        m.choice_points,
-        m.backtracks,
-        m.indexed_calls,
-        m.index_direct_entries,
-    )
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Does a `--rows` filter token list select `(index, program)`?
 ///
 /// The spec is comma-separated; each token is either a 1-based Table 1
@@ -293,37 +266,22 @@ pub fn row_matches(spec: &str, index: usize, program: &str) -> bool {
 
 /// Extracts `(program, fidelity-lane linear steps)` pairs from a
 /// previously written `BENCH_psi.json`, for the microstep-regression
-/// gate. Works on the v1 schema (one `"linear"` object per row) and
-/// the v2–v4 schemas (fidelity lane first): in every layout the
-/// first `"linear"` line after a `"program"` line is the fidelity
-/// lane's linear measurement.
-pub fn archived_steps(json: &str) -> Vec<(String, u64)> {
-    let mut out = Vec::new();
-    let mut program: Option<String> = None;
-    for line in json.lines() {
-        let line = line.trim_start();
-        if let Some(rest) = line.strip_prefix("\"program\": \"") {
-            if let Some(end) = rest.find('"') {
-                program = Some(rest[..end].to_owned());
-            }
-        } else if line.starts_with("\"linear\": {") {
-            if let Some(p) = program.take() {
-                if let Some(steps) = scan_u64_field(line, "\"steps\": ") {
-                    out.push((p, steps));
-                }
-            }
+/// gate.
+///
+/// # Errors
+///
+/// [`psi_core::PsiError::Syntax`] when the document is not a report
+/// with a `cells` array (older layouts nest objects and are rejected)
+/// or a cell lacks its lane, profile, program or steps.
+pub fn archived_steps(json: &str) -> psi_core::Result<Vec<(String, u64)>> {
+    let report = parse_report(json)?;
+    let mut steps = Vec::new();
+    for c in report.array("cells")? {
+        if c.str_field("lane")? == "fidelity" && c.str_field("profile")? == "linear" {
+            steps.push((c.str_field("program")?.to_owned(), c.u64_field("steps")?));
         }
     }
-    out
-}
-
-fn scan_u64_field(line: &str, key: &str) -> Option<u64> {
-    let at = line.find(key)? + key.len();
-    let digits: String = line[at..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
+    Ok(steps)
 }
 
 /// Measures one workload under one machine configuration (one
@@ -415,30 +373,36 @@ pub fn run_rows(options: PerfOptions, filter: Option<&str>) -> psi_core::Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escape_handles_quotes_and_control_chars() {
-        assert_eq!(escape("a\"b\\c\n"), "a\\\"b\\\\c\\u000a");
-    }
+    use psi_tools::json::{JsonObject, JsonValue};
 
     #[test]
     fn json_shape_is_stable() {
-        let report = sample_report();
-        let json = report.to_json();
-        assert!(json.starts_with("{\n  \"schema\": \"psi-bench-perf-v4\""));
-        assert!(json.contains("\"program\": \"nreverse 30\""));
-        assert!(json.contains("\"solutions_match\": true"));
-        assert!(json.contains("\"lanes_match\": true"));
-        assert!(json.contains("\"speedup_lane_c\": "));
-        assert!(json.contains("\"fidelity\": {"));
-        assert!(json.contains("\"compiled\": {"));
-        assert!(json.contains("\"choice_points\": 10"));
-        assert!(json.trim_end().ends_with('}'));
-        // The fidelity lane must serialize before the fast lane —
-        // archived_steps picks the first "linear" after "program".
-        let fid = json.find("\"fidelity\"").expect("fidelity present");
-        let cmp = json.find("\"compiled\"").expect("compiled present");
-        assert!(fid < cmp, "lane order must be fid, cmp");
+        let report = parse_report(&sample_report().to_json()).unwrap();
+        assert_eq!(report.header.str_field("schema").unwrap(), PERF_SCHEMA);
+        let row = &report.array("rows").unwrap()[0];
+        assert_eq!(row.str_field("program").unwrap(), "nreverse 30");
+        for verdict in ["solutions_match", "lanes_match"] {
+            assert_eq!(row.get(verdict), Some(&JsonValue::Bool(true)));
+        }
+        assert_eq!(row.get("speedup_lane_c").unwrap().as_f64(), Some(1.0));
+        let cells = report.array("cells").unwrap();
+        let cell = |c: &JsonObject| {
+            let field = |k| c.str_field(k).unwrap();
+            format!("{}/{}", field("lane"), field("profile"))
+        };
+        assert_eq!(
+            cells.iter().map(cell).collect::<Vec<_>>(),
+            [
+                "fidelity/linear",
+                "fidelity/indexed",
+                "compiled/linear",
+                "compiled/indexed"
+            ]
+        );
+        assert!(cells
+            .iter()
+            .all(|c| c.u64_field("choice_points").unwrap() == 10
+                && c.u64_field("solutions").unwrap() == 1));
     }
 
     #[test]
@@ -476,26 +440,15 @@ mod tests {
     }
 
     #[test]
-    fn archived_steps_reads_own_v4_output() {
-        let report = sample_report();
-        let pairs = archived_steps(&report.to_json());
+    fn archived_steps_reads_own_v5_output_only() {
+        let mut report = sample_report();
+        report.rows[0].compiled.linear.steps = 99;
+        report.rows[0].fidelity.indexed.steps = 17;
+        let pairs = archived_steps(&report.to_json()).unwrap();
         assert_eq!(pairs, vec![("nreverse 30".to_owned(), 30)]);
-    }
-
-    #[test]
-    fn archived_steps_reads_v1_layout() {
-        let v1 = r#"{
-  "schema": "psi-bench-perf-v1",
-  "rows": [
-    {
-      "index": 1,
-      "program": "qsort 50",
-      "linear": {"wall_ns": 9, "sim_ns": 8, "steps": 4321, "choice_points": 2},
-      "indexed": {"wall_ns": 9, "sim_ns": 8, "steps": 17, "choice_points": 2}
-    }
-  ]
-}"#;
-        assert_eq!(archived_steps(v1), vec![("qsort 50".to_owned(), 4321)]);
+        // The v4 layout nested one object per lane.
+        let v4 = r#"{"schema": "psi-bench-perf-v4", "rows": [{"fidelity": {"linear": {}}}]}"#;
+        assert!(archived_steps(v4).is_err());
     }
 
     fn sample_report() -> PerfReport {

@@ -2,7 +2,7 @@
 //!
 //! The ICOT authors explored eleven cache capacities on one workload
 //! because every cell cost them a full simulation run. This module
-//! generalizes `pmms::capacity_sweep_parallel` into a declarative
+//! generalizes `pmms::geometry_sweep` into a declarative
 //! batch experiment engine: a grid over **cache geometry** (capacity
 //! × ways × block × write policy × write-stack handling) × **machine
 //! configuration** (clause indexing, execution lane, governor budget)
@@ -41,7 +41,7 @@ use psi_cache::{CacheConfig, WritePolicy};
 use psi_core::{Measurement, PsiError, Resource};
 use psi_machine::{Machine, MachineConfig};
 use psi_mem::TraceEntry;
-use psi_tools::json::ObjectBuilder;
+use psi_tools::json::{parse_object, parse_report, JsonObject, ObjectBuilder, ReportBuilder};
 use psi_tools::pmms;
 use psi_tools::quantile::percentile;
 use psi_workloads::runner::{default_parallelism, par_map_catch};
@@ -394,6 +394,10 @@ impl CellResult {
     /// `None` float fields are omitted — absence encodes "not
     /// measured" in the flat codec.
     pub fn to_json_line(&self) -> String {
+        self.to_object().finish()
+    }
+
+    fn to_object(&self) -> ObjectBuilder {
         let mut b = ObjectBuilder::new()
             .str("key", &self.key)
             .str("workload", &self.workload)
@@ -419,16 +423,17 @@ impl CellResult {
         if let Some(i) = self.improvement_pct {
             b = b.f64("improvement_pct", i);
         }
-        b.u64("wall_ns", self.wall_ns)
-            .str("engine", &self.engine)
-            .finish()
+        b.u64("wall_ns", self.wall_ns).str("engine", &self.engine)
     }
 
     /// Parses a cell back from its JSON line; `None` when the line is
     /// not a well-formed cell (a truncated file from a killed run is
     /// recomputed rather than trusted).
     pub fn from_json_line(line: &str) -> Option<CellResult> {
-        let obj = psi_tools::json::parse_object(line).ok()?;
+        CellResult::from_object(&parse_object(line).ok()?)
+    }
+
+    fn from_object(obj: &JsonObject) -> Option<CellResult> {
         let opt_f64 = |key: &str| obj.get(key).and_then(|v| v.as_f64());
         Some(CellResult {
             key: obj.str_field("key").ok()?.to_owned(),
@@ -546,70 +551,54 @@ impl SweepReport {
         percentile(&walls, q)
     }
 
-    /// Serializes the report (schema `psi-sweep-v1`). Every entry of
-    /// the `planes` and `cells` arrays is one flat JSON object per
-    /// line, so the hand-rolled flat codec can read them back line by
-    /// line ([`parse_report_cells`]).
+    /// Serializes the report (schema `psi-sweep-v1`) through the
+    /// shared report writer ([`ReportBuilder`]): scalar header fields,
+    /// then the `planes` and `cells` arrays, one flat object per line
+    /// ([`parse_report_cells`] reads the cells back).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"schema\": \"psi-sweep-v1\",\n");
-        let _ = writeln!(out, "  \"grid\": \"{}\",", self.grid);
-        let _ = writeln!(out, "  \"mode\": \"{}\",", self.mode);
+        let mut r = ReportBuilder::new("psi-sweep-v1")
+            .str("grid", &self.grid)
+            .str("mode", &self.mode);
         if let Some((i, n)) = self.shard {
-            let _ = writeln!(out, "  \"shard\": \"{i}/{n}\",");
+            r = r.str("shard", &format!("{i}/{n}"));
         }
-        let _ = writeln!(out, "  \"workloads\": {},", self.axes.0);
-        let _ = writeln!(out, "  \"configs\": {},", self.axes.1);
-        let _ = writeln!(out, "  \"geometries\": {},", self.axes.2);
-        let _ = writeln!(
-            out,
-            "  \"invalid_geometries\": {},",
-            self.invalid_geometries
-        );
-        let _ = writeln!(
-            out,
-            "  \"collapsed_fast_lane_cells\": {},",
-            self.collapsed_fast_lane_cells
-        );
-        let _ = writeln!(out, "  \"cells_total\": {},", self.cells.len());
-        let _ = writeln!(out, "  \"computed\": {},", self.computed);
-        let _ = writeln!(out, "  \"resumed\": {},", self.resumed);
-        let _ = writeln!(out, "  \"unrun\": {},", self.unrun);
+        r = r
+            .u64("workloads", self.axes.0 as u64)
+            .u64("configs", self.axes.1 as u64)
+            .u64("geometries", self.axes.2 as u64)
+            .u64("invalid_geometries", self.invalid_geometries as u64)
+            .u64(
+                "collapsed_fast_lane_cells",
+                self.collapsed_fast_lane_cells as u64,
+            )
+            .u64("cells_total", self.cells.len() as u64)
+            .u64("computed", self.computed as u64)
+            .u64("resumed", self.resumed as u64)
+            .u64("unrun", self.unrun as u64);
         for label in ["ok", "exhausted", "timed_out", "failed", "panicked"] {
-            let _ = writeln!(out, "  \"{label}\": {},", self.outcome_count(label));
+            r = r.u64(label, self.outcome_count(label) as u64);
         }
-        let _ = writeln!(out, "  \"wall_ns_total\": {},", self.wall_ns_total);
+        r = r.u64("wall_ns_total", self.wall_ns_total);
         for (name, q) in [("p50", 0.50), ("p90", 0.90), ("p99", 0.99)] {
-            let _ = writeln!(
-                out,
-                "  \"cell_wall_{name}_ns\": {},",
-                self.wall_percentile(q)
-            );
+            r = r.u64(&format!("cell_wall_{name}_ns"), self.wall_percentile(q));
         }
         if let Some(c) = &self.comparison {
-            let _ = writeln!(out, "  \"engine_wall_ns\": {},", c.engine_wall_ns);
-            let _ = writeln!(out, "  \"fresh_wall_ns\": {},", c.fresh_wall_ns);
-            let _ = writeln!(out, "  \"fresh_over_engine\": {:.3},", c.speedup());
+            r = r
+                .u64("engine_wall_ns", c.engine_wall_ns)
+                .u64("fresh_wall_ns", c.fresh_wall_ns)
+                .f64("fresh_over_engine", (c.speedup() * 1e3).round() / 1e3);
         }
-        out.push_str("  \"planes\": [\n");
-        for (i, p) in self.planes.iter().enumerate() {
-            let line = ObjectBuilder::new()
+        let planes = self.planes.iter().map(|p| {
+            ObjectBuilder::new()
                 .str("workload", &p.workload)
                 .str("config", &p.config)
                 .str("engine", &p.engine)
                 .u64("trace_len", p.trace_len)
                 .u64("steps", p.steps)
-                .finish();
-            let comma = if i + 1 < self.planes.len() { "," } else { "" };
-            let _ = writeln!(out, "    {line}{comma}");
-        }
-        out.push_str("  ],\n  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            let comma = if i + 1 < self.cells.len() { "," } else { "" };
-            let _ = writeln!(out, "    {}{comma}", c.to_json_line());
-        }
-        out.push_str("  ]\n}\n");
-        out
+        });
+        r.array("planes", planes)
+            .array("cells", self.cells.iter().map(CellResult::to_object))
+            .finish()
     }
 
     /// Human-readable run summary.
@@ -1043,29 +1032,24 @@ pub fn run_sweep(spec: &SweepSpec, options: &SweepOptions) -> SweepReport {
 // report parsing and diffing
 // ------------------------------------------------------------------
 
-/// Extracts the per-cell objects from a `BENCH_sweep.json` document.
-/// Each entry of the `cells` array is one flat JSON object on its own
-/// line, so the flat codec reads the report back without a nested
-/// parser.
+/// Extracts the per-cell objects from a `BENCH_sweep.json` document
+/// through the shared report reader ([`parse_report`]).
 ///
 /// # Errors
 ///
-/// [`PsiError::Syntax`] when a cell line fails to parse.
+/// [`PsiError::Syntax`] when the document is not a report or has no
+/// `cells` array, or a cell lacks a field.
 pub fn parse_report_cells(json: &str) -> psi_core::Result<Vec<CellResult>> {
-    let mut cells = Vec::new();
-    for line in json.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if !line.starts_with("{\"key\"") {
-            continue;
-        }
-        let cell = CellResult::from_json_line(line).ok_or_else(|| PsiError::Syntax {
-            line: 0,
-            column: 0,
-            detail: format!("malformed sweep cell line: {line}"),
-        })?;
-        cells.push(cell);
-    }
-    Ok(cells)
+    let malformed = |obj: &JsonObject| PsiError::Syntax {
+        line: 0,
+        column: 0,
+        detail: format!("malformed sweep cell: {obj:?}"),
+    };
+    parse_report(json)?
+        .array("cells")?
+        .iter()
+        .map(|obj| CellResult::from_object(obj).ok_or_else(|| malformed(obj)))
+        .collect()
 }
 
 /// The result of diffing two sweep reports, built from the same

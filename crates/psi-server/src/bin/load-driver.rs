@@ -20,6 +20,7 @@
 //! nonzero on any verification or isolation failure.
 
 use psi_server::{Client, ClientError, LimitsPatch, Server, ServerOptions};
+use psi_tools::json::{ObjectBuilder, ReportBuilder};
 use psi_tools::quantile::percentile;
 use psi_workloads::suite::{table1_suite, Table1Entry};
 use std::net::SocketAddr;
@@ -225,18 +226,28 @@ fn main() -> ExitCode {
         if isolation_ok { "ok" } else { "FAILED" },
     );
 
-    let json = render_json(
-        quick,
-        sessions,
-        passes,
-        total_queries,
-        wall.as_secs_f64(),
-        throughput,
-        verified,
-        isolation_ok,
-        &expected,
-        &per_row,
-    );
+    let rows = expected.iter().zip(&per_row).map(|(e, row)| {
+        let mean = row.latencies_ns.iter().sum::<u64>() / (row.latencies_ns.len() as u64).max(1);
+        ObjectBuilder::new()
+            .str("program", &e.name)
+            .u64("queries", row.queries)
+            .u64("solutions", e.bindings.len() as u64)
+            .u64("steps", e.steps)
+            .u64("p50_us", percentile(&row.latencies_ns, 0.50) / 1_000)
+            .u64("p99_us", percentile(&row.latencies_ns, 0.99) / 1_000)
+            .u64("mean_us", mean / 1_000)
+    });
+    let json = ReportBuilder::new("psi-bench-server-v2")
+        .bool("quick", quick)
+        .u64("sessions", sessions as u64)
+        .u64("passes", passes as u64)
+        .u64("total_queries", total_queries)
+        .f64("wall_s", (wall.as_secs_f64() * 1e3).round() / 1e3)
+        .f64("throughput_qps", (throughput * 1e2).round() / 1e2)
+        .bool("verified", verified)
+        .bool("isolation_ok", isolation_ok)
+        .array("rows", rows)
+        .finish();
     // A row subset is a spot check, not the archive.
     if rows_filter.is_none() {
         if let Err(e) = std::fs::write(path, json) {
@@ -347,57 +358,6 @@ fn select_rows(suite: Vec<Table1Entry>, filter: Option<&str>) -> Vec<Table1Entry
             })
         })
         .collect()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    quick: bool,
-    sessions: usize,
-    passes: usize,
-    total_queries: u64,
-    wall_s: f64,
-    throughput: f64,
-    verified: bool,
-    isolation_ok: bool,
-    expected: &[Expected],
-    per_row: &[RowStats],
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"psi-bench-server-v1\",\n");
-    out.push_str(&format!("  \"quick\": {quick},\n"));
-    out.push_str(&format!("  \"sessions\": {sessions},\n"));
-    out.push_str(&format!("  \"passes\": {passes},\n"));
-    out.push_str(&format!("  \"total_queries\": {total_queries},\n"));
-    out.push_str(&format!("  \"wall_s\": {wall_s:.3},\n"));
-    out.push_str(&format!("  \"throughput_qps\": {throughput:.2},\n"));
-    out.push_str(&format!("  \"verified\": {verified},\n"));
-    out.push_str(&format!("  \"isolation_ok\": {isolation_ok},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, (e, row)) in expected.iter().zip(per_row.iter()).enumerate() {
-        let p50 = percentile(&row.latencies_ns, 0.50);
-        let p99 = percentile(&row.latencies_ns, 0.99);
-        let mean = if row.latencies_ns.is_empty() {
-            0
-        } else {
-            row.latencies_ns.iter().sum::<u64>() / row.latencies_ns.len() as u64
-        };
-        out.push_str(&format!(
-            "    {{\"program\": \"{}\", \"queries\": {}, \"solutions\": {}, \"steps\": {}, \
-             \"p50_us\": {}, \"p99_us\": {}, \"mean_us\": {}}}{}\n",
-            psi_tools::json::escape(&e.name),
-            row.queries,
-            e.bindings.len(),
-            e.steps,
-            p50 / 1_000,
-            p99 / 1_000,
-            mean / 1_000,
-            if i + 1 < expected.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
 }
 
 fn usage(msg: &str) -> ExitCode {

@@ -13,6 +13,8 @@
 //! objects and arrays are rejected: every line-oriented format in this
 //! workspace is deliberately flat so it can be streamed, concatenated
 //! and grepped.
+//! The one multi-line format, the `BENCH_*.json` report, is built from
+//! the same flat objects ([`ReportBuilder`], [`parse_report`]).
 
 use psi_core::{PsiError, Result};
 use std::fmt::Write as _;
@@ -169,38 +171,21 @@ fn field_err(key: &str, expected: &str) -> PsiError {
 /// # Ok::<(), psi_core::PsiError>(())
 /// ```
 pub fn parse_object(line: &str) -> Result<JsonObject> {
+    parse_whole(line, Scanner::parse_flat_object)
+}
+
+/// Runs `parse` over all of `text`, allowing only whitespace after it.
+fn parse_whole<T>(text: &str, parse: impl FnOnce(&mut Scanner) -> Result<T>) -> Result<T> {
     let mut p = Scanner {
-        chars: line.chars().collect(),
+        chars: text.chars().collect(),
         pos: 0,
     };
+    let value = parse(&mut p)?;
     p.skip_ws();
-    p.expect('{')?;
-    let mut fields = Vec::new();
-    p.skip_ws();
-    if p.peek() == Some('}') {
-        p.pos += 1;
-    } else {
-        loop {
-            p.skip_ws();
-            let key = p.parse_string()?;
-            p.skip_ws();
-            p.expect(':')?;
-            p.skip_ws();
-            let value = p.parse_value()?;
-            fields.push((key, value));
-            p.skip_ws();
-            match p.next() {
-                Some(',') => continue,
-                Some('}') => break,
-                _ => return Err(p.err("expected ',' or '}'")),
-            }
-        }
+    match p.peek() {
+        None => Ok(value),
+        Some(_) => Err(p.err("trailing characters after object")),
     }
-    p.skip_ws();
-    if p.peek().is_some() {
-        return Err(p.err("trailing characters after object"));
-    }
-    Ok(JsonObject { fields })
 }
 
 struct Scanner {
@@ -228,11 +213,58 @@ impl Scanner {
     }
 
     fn err(&self, detail: impl Into<String>) -> PsiError {
+        let before = &self.chars[..self.pos.min(self.chars.len())];
         PsiError::Syntax {
-            line: 1,
-            column: self.pos.min(self.chars.len()) as u32 + 1,
+            line: before.iter().filter(|&&c| c == '\n').count() as u32 + 1,
+            column: before.iter().rev().take_while(|&&c| c != '\n').count() as u32 + 1,
             detail: detail.into(),
         }
+    }
+
+    /// Parses `open item, item, ... close`, calling `item` for each
+    /// member.
+    fn parse_seq(
+        &mut self,
+        open: char,
+        close: char,
+        mut item: impl FnMut(&mut Scanner) -> Result<()>,
+    ) -> Result<()> {
+        self.skip_ws();
+        self.expect(open)?;
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            item(self)?;
+            self.skip_ws();
+            match self.next() {
+                Some(',') => continue,
+                Some(c) if c == close => return Ok(()),
+                _ => return Err(self.err(format!("expected ',' or '{close}'"))),
+            }
+        }
+    }
+
+    /// Parses `"key":` and the whitespace after it.
+    fn parse_key(&mut self) -> Result<String> {
+        let key = self.parse_string()?;
+        self.skip_ws();
+        self.expect(':')?;
+        self.skip_ws();
+        Ok(key)
+    }
+
+    fn parse_flat_object(&mut self) -> Result<JsonObject> {
+        let mut fields = Vec::new();
+        self.parse_seq('{', '}', |p| {
+            let key = p.parse_key()?;
+            fields.push((key, p.parse_value()?));
+            Ok(())
+        })?;
+        Ok(JsonObject { fields })
     }
 
     fn expect(&mut self, want: char) -> Result<()> {
@@ -386,17 +418,14 @@ impl ObjectBuilder {
 
     fn key(&mut self, key: &str) {
         self.buf.push(if self.buf.is_empty() { '{' } else { ',' });
-        self.buf.push('"');
-        self.buf.push_str(&escape(key));
-        self.buf.push_str("\":");
+        push_str_literal(&mut self.buf, key);
+        self.buf.push(':');
     }
 
     /// Appends a string field (value escaped).
     pub fn str(mut self, key: &str, value: &str) -> ObjectBuilder {
         self.key(key);
-        self.buf.push('"');
-        self.buf.push_str(&escape(value));
-        self.buf.push('"');
+        push_str_literal(&mut self.buf, value);
         self
     }
 
@@ -411,11 +440,7 @@ impl ObjectBuilder {
     /// non-finite values, which JSON cannot carry).
     pub fn f64(mut self, key: &str, value: f64) -> ObjectBuilder {
         self.key(key);
-        if value.is_finite() {
-            let _ = write!(self.buf, "{value}");
-        } else {
-            self.buf.push_str("null");
-        }
+        push_f64(&mut self.buf, value);
         self
     }
 
@@ -434,6 +459,155 @@ impl ObjectBuilder {
         self.buf.push('}');
         self.buf
     }
+}
+
+fn push_str_literal(buf: &mut String, s: &str) {
+    buf.push('"');
+    buf.push_str(&escape(s));
+    buf.push('"');
+}
+
+fn push_f64(buf: &mut String, value: f64) {
+    if value.is_finite() {
+        let _ = write!(buf, "{value}");
+    } else {
+        buf.push_str("null");
+    }
+}
+
+/// Builds a `BENCH_*.json` report document: a pretty-printed top-level
+/// object whose header fields are scalars, one `"key": value` per
+/// line starting with `"schema"`, and whose arrays hold one flat
+/// [`ObjectBuilder`] object per line. [`parse_report`] reads it back.
+#[derive(Debug, Clone)]
+pub struct ReportBuilder {
+    buf: String,
+}
+
+impl ReportBuilder {
+    /// Starts a report whose first header field is `"schema"`.
+    pub fn new(schema: &str) -> ReportBuilder {
+        let buf = String::from("{");
+        ReportBuilder { buf }.str("schema", schema)
+    }
+
+    fn field(mut self, key: &str, value: impl FnOnce(&mut String)) -> ReportBuilder {
+        self.buf
+            .push_str(if self.buf.len() > 1 { ",\n  " } else { "\n  " });
+        push_str_literal(&mut self.buf, key);
+        self.buf.push_str(": ");
+        value(&mut self.buf);
+        self
+    }
+
+    /// Appends a string header field (value escaped).
+    pub fn str(self, key: &str, value: &str) -> ReportBuilder {
+        self.field(key, |buf| push_str_literal(buf, value))
+    }
+
+    /// Appends an unsigned-integer header field.
+    pub fn u64(self, key: &str, value: u64) -> ReportBuilder {
+        self.field(key, |buf| buf.push_str(&value.to_string()))
+    }
+
+    /// Appends a float header field, rendered as [`ObjectBuilder::f64`]
+    /// renders one.
+    pub fn f64(self, key: &str, value: f64) -> ReportBuilder {
+        self.field(key, |buf| push_f64(buf, value))
+    }
+
+    /// Appends a boolean header field.
+    pub fn bool(self, key: &str, value: bool) -> ReportBuilder {
+        self.field(key, |buf| {
+            buf.push_str(if value { "true" } else { "false" })
+        })
+    }
+
+    /// Appends an array of flat objects, one per line.
+    pub fn array(
+        self,
+        key: &str,
+        entries: impl IntoIterator<Item = ObjectBuilder>,
+    ) -> ReportBuilder {
+        self.field(key, |buf| {
+            buf.push('[');
+            for (i, entry) in entries.into_iter().enumerate() {
+                buf.push_str(if i == 0 { "\n    " } else { ",\n    " });
+                buf.push_str(&entry.finish());
+            }
+            buf.push_str("\n  ]");
+        })
+    }
+
+    /// Finishes the document (with a trailing newline).
+    pub fn finish(mut self) -> String {
+        self.buf.push_str("\n}\n");
+        self.buf
+    }
+}
+
+/// A parsed `BENCH_*.json` report: the scalar header fields and each
+/// array of flat objects, both in document order.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Report {
+    /// The header fields, `"schema"` first.
+    pub header: JsonObject,
+    /// The arrays, by key.
+    pub arrays: Vec<(String, Vec<JsonObject>)>,
+}
+
+impl Report {
+    /// The entries of array `key`.
+    ///
+    /// # Errors
+    ///
+    /// [`PsiError::Syntax`] if the report has no such array.
+    pub fn array(&self, key: &str) -> Result<&[JsonObject]> {
+        self.arrays
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, entries)| entries.as_slice())
+            .ok_or_else(|| field_err(key, "an array"))
+    }
+}
+
+/// Parses a report of the shape [`ReportBuilder`] writes: one
+/// top-level object whose values are scalars (the header) or arrays
+/// of flat objects. Whitespace is free, as in any JSON. Anything else
+/// — a nested object, an array of scalars, a missing comma, a
+/// truncated document — is a typed [`PsiError::Syntax`] whose line
+/// and column point at the offending character; never panics.
+///
+/// ```
+/// use psi_tools::json::{parse_report, ObjectBuilder, ReportBuilder};
+/// let doc = ReportBuilder::new("demo-v1")
+///     .array("rows", [ObjectBuilder::new().u64("p", 1)])
+///     .finish();
+/// assert_eq!(doc, "{\n  \"schema\": \"demo-v1\",\n  \"rows\": [\n    {\"p\":1}\n  ]\n}\n");
+/// let report = parse_report(&doc)?;
+/// assert_eq!(report.header.str_field("schema")?, "demo-v1");
+/// assert_eq!(report.array("rows")?[0].u64_field("p")?, 1);
+/// # Ok::<(), psi_core::PsiError>(())
+/// ```
+pub fn parse_report(text: &str) -> Result<Report> {
+    parse_whole(text, |p| {
+        let mut report = Report::default();
+        p.parse_seq('{', '}', |p| {
+            let key = p.parse_key()?;
+            if p.peek() == Some('[') {
+                let mut entries = Vec::new();
+                p.parse_seq('[', ']', |p| {
+                    entries.push(p.parse_flat_object()?);
+                    Ok(())
+                })?;
+                report.arrays.push((key, entries));
+            } else {
+                report.header.fields.push((key, p.parse_value()?));
+            }
+            Ok(())
+        })?;
+        Ok(report)
+    })
 }
 
 #[cfg(test)]
@@ -501,6 +675,78 @@ mod tests {
         let obj = parse_object("  { \"a\" : 1 , \"b\" : null }  ").unwrap();
         assert_eq!(obj.u64_field("a").unwrap(), 1);
         assert_eq!(obj.get("b"), Some(&JsonValue::Null));
+    }
+
+    #[test]
+    fn report_writer_and_reader_round_trip() {
+        let doc = ReportBuilder::new("demo-v1")
+            .str("grid", "de\"fault")
+            .f64("ratio", 1.25)
+            .bool("quick", true)
+            .array("empty", [])
+            .array(
+                "rows",
+                [
+                    ObjectBuilder::new().str("p", "a,"),
+                    ObjectBuilder::new().str("p", "[b]"),
+                ],
+            )
+            .finish();
+        assert!(doc.contains("\n  \"empty\": [\n  ],\n"), "{doc}");
+        let report = parse_report(&doc).unwrap();
+        let header = &report.header;
+        assert_eq!(header.str_field("grid").unwrap(), "de\"fault");
+        assert_eq!(header.get("ratio").unwrap().as_f64(), Some(1.25));
+        assert_eq!(header.get("quick").unwrap().as_bool(), Some(true));
+        assert!(report.array("empty").unwrap().is_empty());
+        let rows: Vec<&str> = report
+            .array("rows")
+            .unwrap()
+            .iter()
+            .map(|r| r.str_field("p").unwrap())
+            .collect();
+        assert_eq!(rows, ["a,", "[b]"]);
+        assert!(report.array("missing").is_err());
+    }
+
+    #[test]
+    fn hostile_reports_produce_typed_errors() {
+        let good = ReportBuilder::new("demo-v1")
+            .u64("count", 1)
+            .array("rows", [ObjectBuilder::new().u64("n", 1)])
+            .finish();
+        let truncated = &good[..good.len() / 2];
+        let bad = [
+            "",
+            "{",
+            truncated,
+            "[\n]",
+            "{\n  \"schema\": \"x\"\n}\n}",
+            "{\n  \"schema\": \"x\",\n}",
+            "{\n  \"schema\": \"x\"\n  \"count\": 1\n}",
+            "{\n  \"schema\" \"x\"\n}",
+            "{\n  \"schema\": {\"x\": 1}\n}",
+            "{\n  \"rows\": [\n    {\"n\":{\"nested\":1}}\n  ]\n}",
+            "{\n  \"rows\": [\n    [1]\n  ]\n}",
+            "{\n  \"rows\": [\n    {\"n\":1}\n    {\"n\":2}\n  ]\n}",
+            "{\n  \"rows\": [\n    {\"n\":1},\n  ]\n}",
+            "{\n  \"rows\": [\n    {\"n\":1}\n  ]x\n}",
+            "{\n  \"rows\": [\n    {\"n\":1}\n",
+            "{\n  \"rows\": [\n    {\"n\":1}\n}",
+            "{\n  1: [\n  ]\n}",
+        ];
+        for doc in bad {
+            match parse_report(doc) {
+                Err(PsiError::Syntax { .. }) => {}
+                other => panic!("{doc:?}: expected a syntax error, got {other:?}"),
+            }
+        }
+        // Errors name the offending document line.
+        let nested = "{\n  \"schema\": \"x\",\n  \"rows\": [\n    {\"a\":[1]}\n  ]\n}";
+        match parse_report(nested) {
+            Err(PsiError::Syntax { line, .. }) => assert_eq!(line, 4),
+            other => panic!("expected a syntax error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! studies.
 
 use psi_cache::{Cache, CacheConfig, CacheStats};
-use psi_machine::Machine;
 use psi_mem::TraceEntry;
 
 /// Replays a trace through a cache configuration, advancing the cache
@@ -66,10 +65,8 @@ pub fn figure1_capacities() -> Vec<u32> {
 /// handing items out through a shared atomic cursor (work stealing:
 /// long cells never serialize short ones behind them) and returning
 /// the results **in input order**. `threads <= 1` maps on the calling
-/// thread with no scaffolding. This is the one sweep loop — every
-/// capacity/geometry sweep in this module is a thin wrapper over it,
-/// where the three pre-consolidation variants each carried their own
-/// copy.
+/// thread with no scaffolding. [`geometry_sweep`] is a thin wrapper
+/// over it.
 ///
 /// # Panics
 ///
@@ -118,9 +115,9 @@ where
 
 /// Replays one trace through every configuration in `configs` (each
 /// on its own independent [`Cache`]) and returns the improvement
-/// ratio per configuration, in input order. This is the generic
-/// geometry axis behind [`capacity_sweep_parallel`] and the batch
-/// sweep engine's replay planes.
+/// ratio per configuration, in input order. Over
+/// [`figure1_capacities`] it is Figure 1; it is also the batch sweep
+/// engine's replay plane.
 pub fn geometry_sweep(
     trace: &[TraceEntry],
     configs: &[CacheConfig],
@@ -133,44 +130,11 @@ pub fn geometry_sweep(
     })
 }
 
-/// Figure 1: improvement ratio at each capacity (8 W – 8 KW by powers
-/// of two, "other specifications are same with the cache memory of
-/// the PSI").
-pub fn capacity_sweep(trace: &[TraceEntry], cycle_ns: u64, total_steps: u64) -> Vec<(u32, f64)> {
-    capacity_sweep_parallel(trace, cycle_ns, total_steps, 1)
-}
-
-/// [`capacity_sweep`] with each capacity replayed on its own scoped
-/// worker thread (up to `threads` at once; 1 = serial). Every replay
-/// drives an independent [`Cache`], so the result is identical to the
-/// serial sweep, just wall-clock faster.
-pub fn capacity_sweep_parallel(
-    trace: &[TraceEntry],
-    cycle_ns: u64,
-    total_steps: u64,
-    threads: usize,
-) -> Vec<(u32, f64)> {
-    let caps = figure1_capacities();
-    let configs: Vec<CacheConfig> = caps
-        .iter()
-        .map(|&cap| CacheConfig::psi_with_capacity(cap))
-        .collect();
-    caps.into_iter()
-        .zip(geometry_sweep(
-            trace,
-            &configs,
-            cycle_ns,
-            total_steps,
-            threads,
-        ))
-        .collect()
-}
-
 /// The paper's Figure 1 metric computed from a *live* run instead of
 /// a replayed trace: `Tc` is the run's simulated time, `Tnc` prices
 /// every cache access at the miss premium on top of the stall-free
-/// step time. Shared by [`capacity_sweep_forked`] and the batch
-/// engine's fork cells so both derive the ratio identically.
+/// step time. The batch sweep engine's fork cells use it, so a live
+/// cell and a replayed one derive the ratio from the same formula.
 pub fn improvement_from_run(
     steps: u64,
     time_ns: u64,
@@ -183,49 +147,6 @@ pub fn improvement_from_run(
     }
     let tnc = steps * cycle_ns + cache_accesses * config.miss_extra_ns();
     (tnc as f64 / time_ns as f64 - 1.0) * 100.0
-}
-
-/// [`capacity_sweep`] computed live instead of by trace replay: each
-/// capacity cell [forks](Machine::fork) the consulted template with
-/// its own cache geometry and runs the goal for real, reading `Tc`
-/// from the forked machine's clock and `Tnc` from its step and access
-/// counts. One consult serves all eleven cells (previously each cell
-/// re-parsed and re-compiled the program), and because the memory
-/// trace is a pure function of execution — not of cache geometry —
-/// the ratios are bit-identical to replaying a collected trace
-/// through the same configurations (regression-tested below).
-///
-/// The template must be a consulted, never-run machine in the
-/// fidelity lane; the goal runs with memory tracing off, since the
-/// live cache statistics replace the trace.
-///
-/// # Errors
-///
-/// [`psi_core::PsiError::ForkAfterRun`] if `template` has already
-/// compiled or run a query; any machine error from running `goal`.
-pub fn capacity_sweep_forked(
-    template: &Machine,
-    goal: &str,
-    max_solutions: usize,
-    threads: usize,
-) -> psi_core::Result<Vec<(u32, f64)>> {
-    let caps = figure1_capacities();
-    let cycle_ns = template.config().cycle_ns;
-    let cells = sweep_cells(&caps, threads, |&cap| -> psi_core::Result<(u32, f64)> {
-        let config = CacheConfig::psi_with_capacity(cap);
-        let mut m = template.fork_with_cache(Some(config))?;
-        m.solve(goal, max_solutions)?;
-        let stats = m.stats();
-        let ratio = improvement_from_run(
-            stats.steps,
-            stats.time_ns,
-            stats.cache.total().accesses(),
-            cycle_ns,
-            config,
-        );
-        Ok((cap, ratio))
-    });
-    cells.into_iter().collect()
 }
 
 /// §4.2 associativity study: improvement ratios with two 4K-word sets
@@ -293,13 +214,22 @@ mod tests {
         assert!(time >= 2500 * 200);
     }
 
+    /// Figure 1's sweep: one replay per [`figure1_capacities`] entry.
+    fn figure1_sweep(t: &[TraceEntry], total_steps: u64) -> Vec<f64> {
+        let configs: Vec<CacheConfig> = figure1_capacities()
+            .into_iter()
+            .map(CacheConfig::psi_with_capacity)
+            .collect();
+        geometry_sweep(t, &configs, 200, total_steps, 2)
+    }
+
     #[test]
     fn improvement_grows_with_capacity() {
         let t = trace(4000);
-        let sweep = capacity_sweep(&t, 200, 20_000);
+        let sweep = figure1_sweep(&t, 20_000);
         assert_eq!(sweep.len(), 11); // 8 .. 8192
-        let first = sweep.first().unwrap().1;
-        let last = sweep.last().unwrap().1;
+        let first = sweep[0];
+        let last = sweep[10];
         assert!(
             last >= first,
             "bigger cache must not hurt: {first} vs {last}"
@@ -307,7 +237,7 @@ mod tests {
         assert!(last > 0.0, "a cache must help this trace");
         // Monotone non-decreasing within noise for this regular trace.
         for w in sweep.windows(2) {
-            assert!(w[1].1 >= w[0].1 - 1.0, "{:?}", sweep);
+            assert!(w[1] >= w[0] - 1.0, "{:?}", sweep);
         }
     }
 
@@ -326,52 +256,10 @@ mod tests {
         let ratio = improvement_ratio_pct(&[], CacheConfig::psi(), 200, 0);
         assert!(ratio.is_finite(), "got {ratio}");
         assert_eq!(ratio, 0.0);
-        let sweep = capacity_sweep(&[], 200, 0);
-        assert!(sweep.iter().all(|(_, r)| r.is_finite() && *r == 0.0));
+        let sweep = figure1_sweep(&[], 0);
+        assert!(sweep.iter().all(|r| r.is_finite() && *r == 0.0));
         let (two, one) = associativity_study(&[], 200, 0);
         assert_eq!((two, one), (0.0, 0.0));
-    }
-
-    /// The fork-based live sweep must agree bit-for-bit with replaying
-    /// a collected trace through the same configurations — the memory
-    /// trace is a pure function of execution, not of cache geometry,
-    /// so both paths feed identical access streams to identical cache
-    /// models.
-    #[test]
-    fn forked_sweep_matches_trace_replay() {
-        use kl0::Program;
-        use psi_machine::MachineConfig;
-
-        const SRC: &str = "app([], L, L).\n\
-                           app([H|T], L, [H|R]) :- app(T, L, R).\n\
-                           rev([], []).\n\
-                           rev([H|T], R) :- rev(T, RT), app(RT, [H], R).";
-        let goal = "rev([1,2,3,4,5,6,7,8], R)";
-
-        // Trace branch: one traced run on the stock PSI cache.
-        let mut config = MachineConfig::psi();
-        config.trace_memory = true;
-        let mut traced = Machine::load(&Program::parse(SRC).unwrap(), config).unwrap();
-        traced.solve(goal, 1).unwrap();
-        let steps = traced.stats().steps;
-        let t = traced.take_trace();
-        assert!(!t.is_empty());
-        let replayed = capacity_sweep_parallel(&t, 200, steps, 2);
-
-        // Live branch: eleven forks of one consulted template.
-        let template = Machine::load(&Program::parse(SRC).unwrap(), MachineConfig::psi()).unwrap();
-        let forked = capacity_sweep_forked(&template, goal, 1, 2).unwrap();
-        assert_eq!(forked, replayed);
-
-        // The template stayed pristine, so the sweep can run again.
-        assert_eq!(
-            capacity_sweep_forked(&template, goal, 1, 1).unwrap(),
-            forked
-        );
-
-        // A run machine is not a template.
-        let err = capacity_sweep_forked(&traced, goal, 1, 1).unwrap_err();
-        assert_eq!(err.wire_kind(), "fork_after_run");
     }
 
     #[test]

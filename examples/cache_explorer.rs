@@ -1,14 +1,11 @@
 //! Figure 1 interactively: trace a workload on the PSI, then replay
 //! the trace through cache configurations with PMMS, printing the
-//! performance-improvement curve and the §4.2 design studies —
-//! finishing with the fork-based live sweep (eleven forks of one
-//! consulted template, no trace buffer) to show both roads produce
-//! the same curve.
+//! performance-improvement curve and the §4.2 design studies.
 //!
 //! Run with: `cargo run --release --example cache_explorer`
 
-use kl0::Program;
-use psi_machine::{Machine, MachineConfig};
+use psi_cache::CacheConfig;
+use psi_machine::MachineConfig;
 use psi_tools::{collect, pmms};
 use psi_workloads::{runner, window};
 
@@ -28,7 +25,13 @@ fn main() -> Result<(), psi_core::PsiError> {
     );
 
     println!("\nFigure 1 — improvement ratio vs capacity:");
-    for (cap, ratio) in pmms::capacity_sweep(&trace, 200, steps) {
+    let capacities = pmms::figure1_capacities();
+    let configs: Vec<CacheConfig> = capacities
+        .iter()
+        .map(|&cap| CacheConfig::psi_with_capacity(cap))
+        .collect();
+    let ratios = pmms::geometry_sweep(&trace, &configs, 200, steps, 1);
+    for (cap, ratio) in capacities.into_iter().zip(ratios) {
         println!(
             "  {cap:>5} words: {ratio:>6.1}%  {}",
             "#".repeat((ratio / 2.0).max(0.0) as usize)
@@ -40,23 +43,5 @@ fn main() -> Result<(), psi_core::PsiError> {
     let (si, st) = pmms::policy_study(&trace, 200, steps);
     println!("store-in:     {si:.1}%   store-through: {st:.1}%   (paper: store-in 8% higher)");
 
-    // The same curve without a trace: consult once, fork a machine
-    // per capacity and run the goal live.
-    let template = Machine::load(&Program::parse(&workload.source)?, MachineConfig::psi())?;
-    let forked = pmms::capacity_sweep_forked(
-        &template,
-        &workload.goal,
-        workload.max_solutions,
-        std::thread::available_parallelism().map_or(1, usize::from),
-    )?;
-    let replayed = pmms::capacity_sweep(&trace, 200, steps);
-    println!(
-        "\nfork-based live sweep over the same capacities: {}",
-        if forked == replayed {
-            "bit-identical to the trace replay"
-        } else {
-            "DIVERGED from the trace replay"
-        }
-    );
     Ok(())
 }
