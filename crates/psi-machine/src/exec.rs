@@ -541,6 +541,116 @@ impl Machine {
         self.bus.write_stack(addr, w)
     }
 
+    // ------------------------------------------------------ fused arms
+    //
+    // One body runs on both lanes. The fidelity lane charges an arm's
+    // steps one at a time, interleaved with its timed accesses; the
+    // fast lane charges the arm's recorded packet up front, and the
+    // accessors below then skip the charges that packet covers. They
+    // are forced inline so each arm stays straight-line code on the
+    // fast lane: called out of line they slowed it by 6-10% per Table 1
+    // row (2-core x86-64 host).
+
+    /// Charges a fused arm's packet on the fast lane; a no-op on the
+    /// fidelity lane, whose in-arm accessors charge the steps instead.
+    #[inline(always)]
+    pub(crate) fn charge_arm(&mut self, p: &ChargePacket) {
+        if self.lane_compiled {
+            self.charge_packet(p);
+        }
+    }
+
+    /// A code fetch inside a fused arm (`case (tag)` dispatch).
+    #[inline(always)]
+    pub(crate) fn fetch_code_in_arm(&mut self, m: InterpModule, off: u32) -> Result<Word> {
+        if self.lane_compiled {
+            self.fetch_code_uncharged(off)
+        } else {
+            self.fetch_code(m, BranchOp::CaseTag, off)
+        }
+    }
+
+    /// [`Machine::mem_read`] inside a fused arm.
+    #[inline(always)]
+    pub(crate) fn mem_read_in_arm(&mut self, m: InterpModule, addr: Address) -> Result<Word> {
+        if self.lane_compiled {
+            self.bus.read(addr)
+        } else {
+            self.mem_read(m, addr)
+        }
+    }
+
+    /// [`Machine::read_value`] inside a fused arm.
+    #[inline(always)]
+    pub(crate) fn read_value_in_arm(&mut self, m: InterpModule, addr: Address) -> Result<Word> {
+        let w = self.mem_read_in_arm(m, addr)?;
+        Ok(if w.is_undef() {
+            Word::reference(addr)
+        } else {
+            w
+        })
+    }
+
+    /// [`Machine::mem_push`] inside a fused arm.
+    #[inline(always)]
+    pub(crate) fn mem_push_in_arm(
+        &mut self,
+        m: InterpModule,
+        addr: Address,
+        w: Word,
+    ) -> Result<()> {
+        if self.lane_compiled {
+            self.bus.write_stack(addr, w)
+        } else {
+            self.mem_push(m, addr, w)
+        }
+    }
+
+    /// Reads unify-module slot `slot` inside a fused arm whose packet
+    /// depends on where the slot lives: `arm[0]` while it is
+    /// buffered, `arm[1]` once flushed.
+    #[inline(always)]
+    pub(crate) fn read_slot_in_arm(&mut self, slot: u16, arm: [&ChargePacket; 2]) -> Result<Word> {
+        if !self.lane_compiled {
+            return self.read_slot(InterpModule::Unify, slot, true);
+        }
+        match self.slot_place(slot) {
+            SlotPlace::Buffered(buf) => {
+                self.charge_packet(arm[0]);
+                Ok(self.wf.read_buffer(buf, slot as u32, false, true))
+            }
+            SlotPlace::Flushed(addr) => {
+                self.charge_packet(arm[1]);
+                self.bus.read(addr)
+            }
+        }
+    }
+
+    /// Writes unify-module slot `slot` inside a fused arm; `arm` as
+    /// for [`Machine::read_slot_in_arm`].
+    #[inline(always)]
+    pub(crate) fn write_slot_in_arm(
+        &mut self,
+        slot: u16,
+        w: Word,
+        arm: [&ChargePacket; 2],
+    ) -> Result<()> {
+        if !self.lane_compiled {
+            return self.write_slot(InterpModule::Unify, slot, w, true);
+        }
+        match self.slot_place(slot) {
+            SlotPlace::Buffered(buf) => {
+                self.charge_packet(arm[0]);
+                self.wf.write_buffer(buf, slot as u32, w, false, true);
+                Ok(())
+            }
+            SlotPlace::Flushed(addr) => {
+                self.charge_packet(arm[1]);
+                self.bus.write(addr, w)
+            }
+        }
+    }
+
     // ------------------------------------------------------ local slots
 
     /// Where slot `slot` of the current activation lives right now:
@@ -688,30 +798,31 @@ impl Machine {
 
     // ------------------------------------------------------- user calls
 
-    /// Calls user predicate `pred` with `nargs` arguments encoded at
-    /// `code_ptr + 1`, with the operands just decoded from the fetched
-    /// goal word.
-    pub(crate) fn handle_user_call(&mut self, pred: u32, nargs: u8, code_ptr: u32) -> Result<Flow> {
+    /// Calls the user predicate of goal `op`, the goal word at
+    /// `code_ptr`: its fused op on the fast lane, the op decoded from
+    /// the fetched word ([`FusedOp::decoded`]) on the fidelity lane.
+    pub(crate) fn handle_user_call(&mut self, op: FusedOp, code_ptr: u32) -> Result<Flow> {
         // Build the arguments into the reusable scratch buffer (taken
         // out of `self` so `build_args` can borrow `self` mutably, put
         // back on every exit path).
         let mut args = std::mem::take(&mut self.scratch_args);
-        args.clear();
         let flow = (|| {
-            let next_off =
-                self.build_args(InterpModule::Control, code_ptr + 1, nargs, &mut args)?;
+            let next_off = self.build_args(InterpModule::Control, op, code_ptr + 1, &mut args)?;
             self.user_calls += 1;
             // Predicate-table lookup and register save: the call overhead
             // the paper blames for PSI's slowness on simple programs
             // (§3.1: "more execution management information to be
-            // stacked").
-            self.alu_step(InterpModule::Control);
-            self.alu_step(InterpModule::Control);
-            self.micro_cond(InterpModule::Control, true);
-            // Dispatch through the predicate table (indirect jump).
-            self.micro(InterpModule::Control, BranchOp::GotoJr1, false);
-            self.wf.touch_read(WfField::Source1, WfMode::Direct10);
-            self.call_predicate(pred, &args, next_off)
+            // stacked"), then the dispatch through the predicate table
+            // (indirect jump).
+            self.charge_arm(&self.charges.call_overhead);
+            if !self.lane_compiled {
+                self.alu_step(InterpModule::Control);
+                self.alu_step(InterpModule::Control);
+                self.micro_cond(InterpModule::Control, true);
+                self.micro(InterpModule::Control, BranchOp::GotoJr1, false);
+                self.wf.touch_read(WfField::Source1, WfMode::Direct10);
+            }
+            self.call_predicate(op.operand, &args, next_off)
         })();
         self.scratch_args = args;
         flow
@@ -1113,113 +1224,12 @@ impl Machine {
 
         // Head unification, argument by argument.
         for (i, &arg) in args.iter().enumerate().take(cc.arity as usize) {
-            let off = cc.addr + 1 + i as u32;
-            let ok = if self.lane_compiled {
-                self.unify_head_arg_compiled(off, arg)?
-            } else {
-                let w = self.fetch_code(InterpModule::Unify, BranchOp::CaseTag, off)?;
-                self.unify_head_arg(w, arg)?
-            };
-            if !ok {
+            if !self.unify_head_arg(cc.addr + 1 + i as u32, arg)? {
                 return Ok(false);
             }
         }
         self.procs[self.cur].regs.code_ptr = cc.addr + 1 + cc.arity as u32;
         Ok(true)
-    }
-
-    /// Compiled-lane head-argument step, the twin of one
-    /// `fetch_code` + [`Machine::unify_head_arg`] iteration: the code
-    /// fetch is fused with the arm's first charge (the slot access,
-    /// the unify bracket, or nothing), one packet per arm kind.
-    fn unify_head_arg_compiled(&mut self, off: u32, arg: Word) -> Result<bool> {
-        let w = self.fetch_code_uncharged(off)?;
-        match w.tag() {
-            Tag::FirstVar => {
-                let slot = w.var_slot().expect("FirstVar");
-                match self.slot_place(slot) {
-                    SlotPlace::Buffered(buf) => {
-                        self.charge_packet(&self.charges.head_slot_buf);
-                        self.wf.write_buffer(buf, slot as u32, arg, false, true);
-                    }
-                    SlotPlace::Flushed(addr) => {
-                        // Fetch + address generation + write — the
-                        // same shape as a skeleton element cycle.
-                        self.charge_packet(&self.charges.skel_fetch_cycle);
-                        self.bus.write(addr, arg)?;
-                    }
-                }
-                Ok(true)
-            }
-            Tag::Void => {
-                self.charge_packet(&self.charges.code_fetch[InterpModule::Unify.index()][1]);
-                Ok(true)
-            }
-            Tag::LocalVar => {
-                let slot = w.var_slot().expect("LocalVar");
-                let v = match self.slot_place(slot) {
-                    SlotPlace::Buffered(buf) => {
-                        self.charge_packet(&self.charges.head_slot_buf);
-                        self.wf.read_buffer(buf, slot as u32, false, true)
-                    }
-                    SlotPlace::Flushed(addr) => {
-                        self.charge_packet(&self.charges.skel_fetch_cycle);
-                        self.bus.read(addr)?
-                    }
-                };
-                self.charge_packet(&self.charges.unify_frame);
-                self.unify_inner(v, arg)
-            }
-            Tag::Atom | Tag::Int | Tag::Nil => {
-                self.charge_packet(&self.charges.head_const);
-                self.unify_inner(w, arg)
-            }
-            Tag::CodeList | Tag::CodeVect => {
-                // Walk the reference chain host-side first, then
-                // charge by hop count: the dominant single-hop case
-                // fuses the fetch with the dispatch read. The
-                // dispatch ops are fixed, so hop charges commute and
-                // the multi-hop split stays exact.
-                let mut hops = 0u32;
-                let mut cur = arg;
-                let (v, cell) = loop {
-                    if cur.tag() != Tag::Ref {
-                        break (cur, None);
-                    }
-                    let addr = cur.address_value().ok_or_else(|| PsiError::EvalError {
-                        detail: "corrupt reference word".into(),
-                    })?;
-                    let content = self.bus.read(addr)?;
-                    hops += 1;
-                    match content.tag() {
-                        Tag::Undef => break (cur, Some(addr)),
-                        Tag::Ref => cur = content,
-                        _ => break (content, None),
-                    }
-                };
-                if hops == 1 {
-                    self.charge_packet(&self.charges.head_skel_ref);
-                } else {
-                    self.charge_packet(&self.charges.code_fetch[InterpModule::Unify.index()][1]);
-                    for _ in 0..hops {
-                        self.charge_packet(
-                            &self.charges.read_dispatch[InterpModule::Unify.index()],
-                        );
-                    }
-                }
-                match cell {
-                    Some(addr) => {
-                        let copied = self.copy_skeleton(w)?;
-                        self.bind(addr, copied)?;
-                        Ok(true)
-                    }
-                    None => self.unify_skeleton_compiled(w, v),
-                }
-            }
-            other => Err(PsiError::EvalError {
-                detail: format!("corrupt head argument word ({other})"),
-            }),
-        }
     }
 
     // -------------------------------------------------------- backtrack
@@ -1502,119 +1512,104 @@ impl Machine {
 
     // ------------------------------------------------------- arguments
 
-    /// Builds the argument vector of a goal whose argument words start
-    /// at `off` into `args` (cleared first — normally one of the
-    /// machine's reusable scratch buffers). Returns the offset just
+    /// Builds the argument vector of goal `op`, whose argument words
+    /// start at `off`, into `args` (cleared first — normally one of
+    /// the machine's reusable scratch buffers). Returns the offset just
     /// past the arguments.
+    ///
+    /// Each argument word costs one code fetch; a §2.1 packed word
+    /// costs one fetch plus a `case (irn)` multi-way branch per operand
+    /// (Table 7 row 6). The fidelity lane fetches and decodes the
+    /// words here. The fast lane charges the fetches and takes the
+    /// arguments its fusion pass classified, unless the op is
+    /// [`ARGS_GENERIC`].
     pub(crate) fn build_args(
         &mut self,
         m: InterpModule,
+        op: FusedOp,
         off: u32,
-        nargs: u8,
         args: &mut Vec<Word>,
     ) -> Result<u32> {
         args.clear();
-        if nargs == 0 {
-            return Ok(off);
+        let classified = op.flags & ARGS_GENERIC == 0;
+        // Copy the pre-classified arguments out of the shared fused
+        // program (a few `Copy` words) so no borrow of `self.fused`
+        // is held across the `&mut self` build calls — this keeps the
+        // dispatch loop free of per-call `Arc` refcount traffic.
+        let mut pargs = std::mem::take(&mut self.scratch_pargs);
+        pargs.clear();
+        if classified {
+            pargs.extend_from_slice(self.fused.args_of(op));
         }
-        let first = self.fetch_code(m, BranchOp::CaseTag, off)?;
-        if first.tag() == Tag::Packed {
-            // §2.1 packed arguments: decode each 8-bit operand with a
-            // case-irn multi-way branch (Table 7 row 6).
-            let ops = first.packed_operands().expect("Packed word");
-            for &op in ops.iter().take(nargs as usize) {
-                self.micro(m, BranchOp::CaseIrn, true);
-                let (tag3, payload) = Word::packed_operand(op);
-                let w = self.build_packed_arg(m, tag3, payload)?;
+        let mut packed = op.flags & ARGS_PACKED != 0;
+        let flow = (|| {
+            let mut word = Word::nil();
+            for i in 0..op.nargs as usize {
+                if i == 0 || !packed {
+                    if classified {
+                        self.charge_packet(&self.charges.code_fetch[m.index()][1]);
+                    } else {
+                        word = self.fetch_code(m, BranchOp::CaseTag, off + i as u32)?;
+                        packed = i == 0 && word.tag() == Tag::Packed;
+                    }
+                }
+                if packed {
+                    // A packed word holds at most four operands.
+                    if i == 4 {
+                        break;
+                    }
+                    self.micro(m, BranchOp::CaseIrn, true);
+                }
+                let pa = match pargs.get(i) {
+                    // Classified at fuse time (`pargs` is empty otherwise).
+                    Some(&pa) => pa,
+                    None if packed => {
+                        PackedArg::from_operand(word.packed_operands().expect("Packed word")[i])?
+                    }
+                    None => PackedArg::from_word(word)?,
+                };
+                let w = self.build_arg(m, pa, packed)?;
                 args.push(w);
             }
-            return Ok(off + 1);
-        }
-        let w = self.build_arg(m, first)?;
-        args.push(w);
-        for i in 1..nargs as u32 {
-            let word = self.fetch_code(m, BranchOp::CaseTag, off + i)?;
-            let w = self.build_arg(m, word)?;
-            args.push(w);
-        }
-        Ok(off + nargs as u32)
+            Ok(off + if packed { 1 } else { op.nargs as u32 })
+        })();
+        self.scratch_pargs = pargs;
+        flow
     }
 
-    fn build_packed_arg(&mut self, m: InterpModule, tag3: u8, payload: u8) -> Result<Word> {
-        if Some(tag3) == Tag::Int.packed_tag() {
-            Ok(Word::int(payload as i32))
-        } else if Some(tag3) == Tag::Nil.packed_tag() {
-            Ok(Word::nil())
-        } else if Some(tag3) == Tag::FirstVar.packed_tag() {
-            let cell = self.new_global_cell(m)?;
-            // Packed operands address the frame buffer base-relative
-            // through PDR/CDR (§4.3 function (4)).
-            self.write_slot_base_relative(m, payload as u16, Word::reference(cell))?;
-            Ok(Word::reference(cell))
-        } else if Some(tag3) == Tag::LocalVar.packed_tag() {
-            self.read_slot_base_relative(m, payload as u16)
-        } else if Some(tag3) == Tag::Void.packed_tag() {
-            let cell = self.new_global_cell(m)?;
-            Ok(Word::reference(cell))
-        } else {
-            Err(PsiError::EvalError {
-                detail: format!("corrupt packed operand tag {tag3}"),
-            })
-        }
-    }
-
-    /// Slot access through the PDR/CDR base-relative WF path (used for
-    /// packed operands).
-    fn read_slot_base_relative(&mut self, m: InterpModule, slot: u16) -> Result<Word> {
-        self.read_slot_with(m, slot, true, false)
-    }
-
-    fn write_slot_base_relative(&mut self, m: InterpModule, slot: u16, w: Word) -> Result<()> {
-        self.write_slot_with(m, slot, w, true, false)
-    }
-
-    /// Materializes one argument word into a runtime value.
-    pub(crate) fn build_arg(&mut self, m: InterpModule, word: Word) -> Result<Word> {
-        match word.tag() {
-            Tag::Atom | Tag::Int | Tag::Nil => Ok(word),
-            Tag::FirstVar => {
-                let slot = word.var_slot().expect("FirstVar");
-                let cell = self.new_global_cell(m)?;
-                self.write_slot(m, slot, Word::reference(cell), true)?;
-                Ok(Word::reference(cell))
+    /// Materializes one decoded argument. `base_relative` selects the
+    /// packed-operand slot path: packed operands address the frame
+    /// buffer base-relative through PDR/CDR (§4.3 function (4)).
+    fn build_arg(&mut self, m: InterpModule, pa: PackedArg, base_relative: bool) -> Result<Word> {
+        match pa {
+            PackedArg::Const(w) => Ok(w),
+            PackedArg::FirstVar(slot) => {
+                let w = Word::reference(self.new_global_cell(m)?);
+                self.write_slot_with(m, slot, w, base_relative, !base_relative)?;
+                Ok(w)
             }
-            Tag::LocalVar => {
-                let slot = word.var_slot().expect("LocalVar");
-                self.read_slot(m, slot, true)
+            PackedArg::LocalVar(slot) => {
+                self.read_slot_with(m, slot, base_relative, !base_relative)
             }
-            Tag::Void => {
-                let cell = self.new_global_cell(m)?;
-                Ok(Word::reference(cell))
-            }
-            Tag::CodeList | Tag::CodeVect => self.copy_skeleton(word),
-            other => Err(PsiError::EvalError {
-                detail: format!("corrupt argument word ({other})"),
-            }),
+            PackedArg::Void => Ok(Word::reference(self.new_global_cell(m)?)),
+            PackedArg::Skeleton(w) => self.copy_skeleton(w),
         }
     }
 
     // --------------------------------------------------------- builtins
 
-    pub(crate) fn handle_builtin_call(
-        &mut self,
-        id: u32,
-        nargs: u8,
-        code_ptr: u32,
-    ) -> Result<Flow> {
-        let b = Builtin::from_id(id).ok_or_else(|| PsiError::EvalError {
-            detail: format!("corrupt builtin id {id}"),
+    /// Calls the built-in of goal `op`, the goal word at `code_ptr`;
+    /// `op` as for [`Machine::handle_user_call`].
+    pub(crate) fn handle_builtin_call(&mut self, op: FusedOp, code_ptr: u32) -> Result<Flow> {
+        let b = Builtin::from_id(op.operand).ok_or_else(|| PsiError::EvalError {
+            detail: format!("corrupt builtin id {}", op.operand),
         })?;
         // Argument fetching for built-ins is the paper's get_arg
         // module (Table 2). Arguments go through the same reusable
         // scratch buffer as user calls (the two never nest).
         let mut args = std::mem::take(&mut self.scratch_args);
         let flow = (|| {
-            let next_off = self.build_args(InterpModule::GetArg, code_ptr + 1, nargs, &mut args)?;
+            let next_off = self.build_args(InterpModule::GetArg, op, code_ptr + 1, &mut args)?;
             self.builtin_calls += 1;
             self.procs[self.cur].regs.code_ptr = next_off;
             // Built-in dispatch: microsubroutine call through the builtin
@@ -1627,135 +1622,6 @@ impl Machine {
         })();
         self.scratch_args = args;
         flow
-    }
-
-    // ------------------------------------------------ fused dispatch
-
-    /// Executes a fused user-predicate call (compiled lane). Charges
-    /// the same microsteps as the decoded path — one dispatch fetch,
-    /// the argument build, the call overhead — through packets, with
-    /// the argument classification already done at fuse time.
-    pub(crate) fn exec_goal_fused(&mut self, op: FusedOp) -> Result<Flow> {
-        self.charge_packet(&self.charges.code_fetch[InterpModule::Control.index()][0]);
-        if op.flags & ARGS_GENERIC != 0 {
-            let code_ptr = self.procs[self.cur].regs.code_ptr;
-            return self.handle_user_call(op.operand, op.nargs, code_ptr);
-        }
-        let mut args = std::mem::take(&mut self.scratch_args);
-        let flow = (|| {
-            self.build_args_fused(op, InterpModule::Control, &mut args)?;
-            self.user_calls += 1;
-            self.charge_packet(&self.charges.call_overhead);
-            self.call_predicate(op.operand, &args, op.next)
-        })();
-        self.scratch_args = args;
-        flow
-    }
-
-    /// Executes a fused built-in call (compiled lane); mirrors
-    /// [`Machine::handle_builtin_call`] charge for charge.
-    pub(crate) fn exec_builtin_fused(&mut self, op: FusedOp) -> Result<Flow> {
-        self.charge_packet(&self.charges.code_fetch[InterpModule::Control.index()][0]);
-        if op.flags & ARGS_GENERIC != 0 {
-            let code_ptr = self.procs[self.cur].regs.code_ptr;
-            return self.handle_builtin_call(op.operand, op.nargs, code_ptr);
-        }
-        let b = Builtin::from_id(op.operand).ok_or_else(|| PsiError::EvalError {
-            detail: format!("corrupt builtin id {}", op.operand),
-        })?;
-        let mut args = std::mem::take(&mut self.scratch_args);
-        let flow = (|| {
-            self.build_args_fused(op, InterpModule::GetArg, &mut args)?;
-            self.builtin_calls += 1;
-            self.procs[self.cur].regs.code_ptr = op.next;
-            self.micro(InterpModule::GetArg, BranchOp::CaseOpcode, true);
-            self.micro(InterpModule::Builtin, BranchOp::Gosub, false);
-            let flow = self.exec_builtin(b, &args)?;
-            self.micro(InterpModule::Builtin, BranchOp::Return, false);
-            Ok(flow)
-        })();
-        self.scratch_args = args;
-        flow
-    }
-
-    /// Builds a fused goal's argument vector from its pre-classified
-    /// [`PackedArg`]s, charging exactly what `build_args` charges for
-    /// the same words: one fetch packet per argument word (one total
-    /// for a packed word, plus a `case (irn)` per operand), and the
-    /// same allocation/slot charges per argument kind.
-    fn build_args_fused(
-        &mut self,
-        op: FusedOp,
-        m: InterpModule,
-        args: &mut Vec<Word>,
-    ) -> Result<()> {
-        args.clear();
-        if op.nargs == 0 {
-            return Ok(());
-        }
-        // Copy the pre-classified arguments out of the shared fused
-        // program (a few `Copy` words) so no borrow of `self.fused`
-        // is held across the `&mut self` build calls — this keeps the
-        // dispatch loop free of per-call `Arc` refcount traffic.
-        let mut pargs = std::mem::take(&mut self.scratch_pargs);
-        pargs.clear();
-        pargs.extend_from_slice(self.fused.args_of(op));
-        let table = self.charges;
-        let flow = (|| {
-            if op.flags & ARGS_PACKED != 0 {
-                self.charge_packet(&table.code_fetch[m.index()][1]);
-                for &pa in &pargs {
-                    self.micro(m, BranchOp::CaseIrn, true);
-                    let w = self.build_arg_fused(m, pa, true)?;
-                    args.push(w);
-                }
-                return Ok(());
-            }
-            for &pa in &pargs {
-                self.charge_packet(&table.code_fetch[m.index()][1]);
-                let w = self.build_arg_fused(m, pa, false)?;
-                args.push(w);
-            }
-            Ok(())
-        })();
-        self.scratch_pargs = pargs;
-        flow
-    }
-
-    /// Materializes one pre-classified argument. `base_relative`
-    /// selects the packed-operand PDR/CDR slot path, exactly as
-    /// `build_packed_arg` vs `build_arg` do.
-    fn build_arg_fused(
-        &mut self,
-        m: InterpModule,
-        pa: PackedArg,
-        base_relative: bool,
-    ) -> Result<Word> {
-        match pa {
-            PackedArg::Const(w) => Ok(w),
-            PackedArg::FirstVar(slot) => {
-                let cell = self.new_global_cell(m)?;
-                let w = Word::reference(cell);
-                if base_relative {
-                    self.write_slot_base_relative(m, slot, w)?;
-                } else {
-                    self.write_slot(m, slot, w, true)?;
-                }
-                Ok(w)
-            }
-            PackedArg::LocalVar(slot) => {
-                if base_relative {
-                    self.read_slot_base_relative(m, slot)
-                } else {
-                    self.read_slot(m, slot, true)
-                }
-            }
-            PackedArg::Void => {
-                let cell = self.new_global_cell(m)?;
-                Ok(Word::reference(cell))
-            }
-            PackedArg::Skeleton(w) => self.copy_skeleton(w),
-        }
     }
 
     fn exec_builtin(&mut self, b: Builtin, args: &[Word]) -> Result<Flow> {

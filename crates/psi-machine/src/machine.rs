@@ -3,7 +3,7 @@
 use crate::codegen::{CodeImage, QueryCode};
 use crate::exec::charge_table;
 use crate::ucode::{
-    BranchOp, BranchTally, ChargeTable, FusedKind, FusedProgram, InterpModule, MicroTally,
+    BranchOp, BranchTally, ChargeTable, FusedKind, FusedOp, FusedProgram, InterpModule, MicroTally,
     ModuleTally, PackedArg, CHARGE_PHASES, FUSE_NEXT,
 };
 use crate::wf::{WfStats, WorkFile};
@@ -621,7 +621,7 @@ pub struct Machine {
     pub(crate) scratch_cp_args: Vec<Word>,
     /// Reusable buffer for copying a fused op's pre-classified
     /// arguments out of the shared [`FusedProgram`] (compiled lane) —
-    /// see `build_args_fused`.
+    /// see `build_args`.
     pub(crate) scratch_pargs: Vec<PackedArg>,
     /// Reusable work stack for iterative unification and `==/2`
     /// structural comparison — one unification runs per head argument,
@@ -1464,11 +1464,12 @@ impl Machine {
         match w.tag() {
             psi_core::Tag::Goal => {
                 let (pred, nargs) = w.goal_value().expect("Goal word");
-                self.handle_user_call(pred, nargs, code_ptr)
+                self.handle_user_call(FusedOp::decoded(FusedKind::Goal, pred, nargs), code_ptr)
             }
             psi_core::Tag::BuiltinGoal => {
                 let (id, nargs) = w.goal_value().expect("BuiltinGoal word");
-                self.handle_builtin_call(id, nargs, code_ptr)
+                let op = FusedOp::decoded(FusedKind::Builtin, id, nargs);
+                self.handle_builtin_call(op, code_ptr)
             }
             psi_core::Tag::CutGoal => self.handle_cut(code_ptr),
             psi_core::Tag::EndBody => self.handle_return(),
@@ -1532,18 +1533,18 @@ impl Machine {
                 return self.dispatch_fetched(code_ptr);
             };
             self.metrics.incr(psi_obs::Counter::FusedDispatches);
+            if op.kind == FusedKind::NotOp {
+                return self.dispatch_fetched(code_ptr);
+            }
+            // The goal-word fetch: the fused op stands in for the
+            // decoded word, so only its charge remains.
+            self.charge_packet(&self.charges.code_fetch[InterpModule::Control.index()][0]);
             let flow = match op.kind {
-                FusedKind::Goal => self.exec_goal_fused(op)?,
-                FusedKind::Builtin => self.exec_builtin_fused(op)?,
-                FusedKind::Cut => {
-                    self.charge_packet(&self.charges.code_fetch[InterpModule::Control.index()][0]);
-                    self.handle_cut(code_ptr)?
-                }
-                FusedKind::Return => {
-                    self.charge_packet(&self.charges.code_fetch[InterpModule::Control.index()][0]);
-                    self.handle_return()?
-                }
-                FusedKind::NotOp => return self.dispatch_fetched(code_ptr),
+                FusedKind::Goal => self.handle_user_call(op, code_ptr)?,
+                FusedKind::Builtin => self.handle_builtin_call(op, code_ptr)?,
+                FusedKind::Cut => self.handle_cut(code_ptr)?,
+                FusedKind::Return => self.handle_return()?,
+                FusedKind::NotOp => unreachable!("dispatched above"),
             };
             if flow != Flow::Continue || op.flags & FUSE_NEXT == 0 {
                 return Ok(flow);

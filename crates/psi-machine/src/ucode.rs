@@ -11,6 +11,7 @@
 //! * whether the step also performed **data manipulation** (§4.4
 //!   reports ≈50% of branching steps manipulate data).
 
+use psi_core::{PsiError, Result, Tag, Word};
 use std::fmt;
 
 /// The component modules of the firmware interpreter (Table 2
@@ -727,8 +728,9 @@ pub(crate) const FUSE_NEXT: u8 = 1 << 0;
 /// one fetch plus per-operand `case (irn)` steps and use the
 /// base-relative slot path, as `build_args` does.
 pub(crate) const ARGS_PACKED: u8 = 1 << 1;
-/// Flag: the argument words did not all pre-classify (corrupt or
-/// exotic input); fall back to the generic `build_args` path so error
+/// Flag: the argument words are decoded as `build_args` fetches them
+/// — every goal on the fidelity lane, and a fused goal whose words did
+/// not all pre-classify (corrupt or exotic input), so its error
 /// behaviour stays identical to the fidelity lane.
 pub(crate) const ARGS_GENERIC: u8 = 1 << 2;
 
@@ -755,11 +757,26 @@ impl FusedOp {
         args_at: 0,
         next: 0,
     };
+
+    /// A goal decoded from its fetched word at run time rather than
+    /// fused: `build_args` decodes its argument words as it fetches
+    /// them.
+    pub(crate) fn decoded(kind: FusedKind, operand: u32, nargs: u8) -> FusedOp {
+        FusedOp {
+            kind,
+            flags: ARGS_GENERIC,
+            nargs,
+            operand,
+            ..FusedOp::NOT_OP
+        }
+    }
 }
 
-/// A goal argument pre-classified by the fusion pass. Mirrors the
-/// cases of `build_arg`/`build_packed_arg`; under [`ARGS_PACKED`] the
-/// variable variants use the base-relative slot path.
+/// A decoded goal argument: what `build_args` materializes, decoded
+/// by [`PackedArg::from_word`] / [`PackedArg::from_operand`] (at fuse
+/// time on the fast lane, as the words are fetched on the fidelity
+/// lane). Under [`ARGS_PACKED`] the variable variants use the
+/// base-relative slot path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PackedArg {
     /// An immediate word (atom, int, nil — packed ints and nils are
@@ -776,7 +793,44 @@ pub(crate) enum PackedArg {
     Skeleton(Word),
 }
 
-use psi_core::Word;
+impl PackedArg {
+    /// Decodes an unpacked argument word.
+    pub(crate) fn from_word(w: Word) -> Result<PackedArg> {
+        Ok(match w.tag() {
+            Tag::Atom | Tag::Int | Tag::Nil => PackedArg::Const(w),
+            Tag::FirstVar => PackedArg::FirstVar(w.var_slot().expect("FirstVar")),
+            Tag::LocalVar => PackedArg::LocalVar(w.var_slot().expect("LocalVar")),
+            Tag::Void => PackedArg::Void,
+            Tag::CodeList | Tag::CodeVect => PackedArg::Skeleton(w),
+            other => {
+                return Err(PsiError::EvalError {
+                    detail: format!("corrupt argument word ({other})"),
+                })
+            }
+        })
+    }
+
+    /// Decodes one 8-bit operand of a `Packed` argument word (§4.4:
+    /// a 3-bit tag and a 5-bit payload).
+    pub(crate) fn from_operand(op: u8) -> Result<PackedArg> {
+        let (tag3, payload) = Word::packed_operand(op);
+        Ok(if Some(tag3) == Tag::Int.packed_tag() {
+            PackedArg::Const(Word::int(payload as i32))
+        } else if Some(tag3) == Tag::Nil.packed_tag() {
+            PackedArg::Const(Word::nil())
+        } else if Some(tag3) == Tag::FirstVar.packed_tag() {
+            PackedArg::FirstVar(payload as u16)
+        } else if Some(tag3) == Tag::LocalVar.packed_tag() {
+            PackedArg::LocalVar(payload as u16)
+        } else if Some(tag3) == Tag::Void.packed_tag() {
+            PackedArg::Void
+        } else {
+            return Err(PsiError::EvalError {
+                detail: format!("corrupt packed operand tag {tag3}"),
+            });
+        })
+    }
+}
 
 /// The compiled lane's dense fused program: one [`FusedOp`] per loaded
 /// code word, plus a side array of pre-classified goal arguments.
@@ -805,7 +859,6 @@ impl FusedProgram {
     /// (`heap` is the full code image; everything before `self.ops.
     /// len()` is already fused and immutable).
     pub(crate) fn extend(&mut self, heap: &[Word]) {
-        use psi_core::Tag;
         let from = self.ops.len();
         self.ops.resize(heap.len(), FusedOp::NOT_OP);
         for off in from..heap.len() {
@@ -852,9 +905,9 @@ impl FusedProgram {
     }
 
     /// Classifies a goal's argument words. Anything that does not
-    /// pre-classify (truncated tail, corrupt word, unexpected packed
-    /// tag) produces an [`ARGS_GENERIC`] op so runtime behaviour —
-    /// including error behaviour — matches the generic path exactly.
+    /// decode (truncated tail, corrupt word, unexpected packed tag)
+    /// produces an [`ARGS_GENERIC`] op, so `build_args` decodes it at
+    /// run time and raises the fidelity lane's error.
     fn classify_goal(
         &mut self,
         heap: &[Word],
@@ -863,88 +916,32 @@ impl FusedProgram {
         operand: u32,
         nargs: u8,
     ) -> FusedOp {
-        use psi_core::Tag;
-        let generic = |flags: u8, next: u32| FusedOp {
+        let args_at = self.args.len();
+        let packed = nargs > 0 && heap.get(off + 1).is_some_and(|w| w.tag() == Tag::Packed);
+        let mut op = FusedOp {
             kind,
-            flags: flags | ARGS_GENERIC,
+            flags: if packed { ARGS_PACKED } else { 0 },
             nargs,
             operand,
-            args_at: 0,
-            next,
+            args_at: args_at as u32,
+            next: off as u32 + 1 + if packed { 1 } else { nargs as u32 },
         };
-        let args_at = self.args.len() as u32;
-        if nargs == 0 {
-            return FusedOp {
-                kind,
-                flags: 0,
-                nargs,
-                operand,
-                args_at,
-                next: off as u32 + 1,
-            };
-        }
-        let Some(&first) = heap.get(off + 1) else {
-            return generic(0, off as u32 + 1 + nargs as u32);
-        };
-        if first.tag() == Tag::Packed {
-            let next = off as u32 + 2;
-            let Some(ops8) = first.packed_operands() else {
-                return generic(ARGS_PACKED, next);
-            };
-            for &p in ops8.iter().take(nargs as usize) {
-                let (tag3, payload) = Word::packed_operand(p);
-                let pa = if Some(tag3) == Tag::Int.packed_tag() {
-                    PackedArg::Const(Word::int(payload as i32))
-                } else if Some(tag3) == Tag::Nil.packed_tag() {
-                    PackedArg::Const(Word::nil())
-                } else if Some(tag3) == Tag::FirstVar.packed_tag() {
-                    PackedArg::FirstVar(payload as u16)
-                } else if Some(tag3) == Tag::LocalVar.packed_tag() {
-                    PackedArg::LocalVar(payload as u16)
-                } else if Some(tag3) == Tag::Void.packed_tag() {
-                    PackedArg::Void
-                } else {
-                    self.args.truncate(args_at as usize);
-                    return generic(ARGS_PACKED, next);
-                };
-                self.args.push(pa);
+        let decode = |i: usize| {
+            if packed {
+                PackedArg::from_operand(*heap[off + 1].packed_operands()?.get(i)?).ok()
+            } else {
+                PackedArg::from_word(*heap.get(off + 1 + i)?).ok()
             }
-            return FusedOp {
-                kind,
-                flags: ARGS_PACKED,
-                nargs,
-                operand,
-                args_at,
-                next,
-            };
-        }
-        let next = off as u32 + 1 + nargs as u32;
+        };
         for i in 0..nargs as usize {
-            let Some(&aw) = heap.get(off + 1 + i) else {
-                self.args.truncate(args_at as usize);
-                return generic(0, next);
+            let Some(arg) = decode(i) else {
+                self.args.truncate(args_at);
+                op.flags |= ARGS_GENERIC;
+                break;
             };
-            let pa = match (aw.tag(), aw.var_slot()) {
-                (Tag::Atom | Tag::Int | Tag::Nil, _) => PackedArg::Const(aw),
-                (Tag::FirstVar, Some(slot)) => PackedArg::FirstVar(slot),
-                (Tag::LocalVar, Some(slot)) => PackedArg::LocalVar(slot),
-                (Tag::Void, _) => PackedArg::Void,
-                (Tag::CodeList | Tag::CodeVect, _) => PackedArg::Skeleton(aw),
-                _ => {
-                    self.args.truncate(args_at as usize);
-                    return generic(0, next);
-                }
-            };
-            self.args.push(pa);
+            self.args.push(arg);
         }
-        FusedOp {
-            kind,
-            flags: 0,
-            nargs,
-            operand,
-            args_at,
-            next,
-        }
+        op
     }
 }
 
@@ -1212,6 +1209,33 @@ mod tests {
         let mut fused = FusedProgram::default();
         fused.extend(&heap);
         assert_eq!(fused.ops[0].flags & ARGS_GENERIC, ARGS_GENERIC);
+    }
+
+    #[test]
+    fn argument_decoders_raise_typed_errors_on_corrupt_input() {
+        use psi_core::{PsiError, Tag, Word};
+        let detail = |r: Result<PackedArg>| match r {
+            Err(PsiError::EvalError { detail }) => detail,
+            other => panic!("expected an EvalError, got {other:?}"),
+        };
+        assert_eq!(
+            PackedArg::from_word(Word::first_var(3)).unwrap(),
+            PackedArg::FirstVar(3)
+        );
+        assert!(
+            detail(PackedArg::from_word(Word::cut_goal())).starts_with("corrupt argument word (")
+        );
+        let int = Word::make_packed_operand(Tag::Int.packed_tag().unwrap(), 9);
+        assert_eq!(
+            PackedArg::from_operand(int).unwrap(),
+            PackedArg::Const(Word::int(9))
+        );
+        // Atoms never pack, so their packed tag is a corrupt operand.
+        let atom = Word::make_packed_operand(Tag::Atom.packed_tag().unwrap(), 1);
+        assert_eq!(
+            detail(PackedArg::from_operand(atom)),
+            "corrupt packed operand tag 0"
+        );
     }
 
     #[test]

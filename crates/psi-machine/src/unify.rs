@@ -8,7 +8,7 @@
 //! newest choice point.
 
 use crate::machine::Machine;
-use crate::ucode::{BranchOp, InterpModule};
+use crate::ucode::{BranchOp, ChargePacket, InterpModule};
 use psi_core::{Address, PsiError, Result, Tag, Word};
 
 impl Machine {
@@ -16,19 +16,39 @@ impl Machine {
     /// either a value (returned with `None`) or an unbound cell
     /// (returns the `Ref` and `Some(cell address)`).
     pub(crate) fn deref(&mut self, m: InterpModule, w: Word) -> Result<(Word, Option<Address>)> {
+        let (v, cell, _) = self.deref_walk(m, w, true)?;
+        Ok((v, cell))
+    }
+
+    /// [`Machine::deref`] that also returns the number of hops walked.
+    /// With `charged == false` the hops' dispatch reads go uncharged,
+    /// for a fused arm that charges them itself.
+    #[inline(always)]
+    fn deref_walk(
+        &mut self,
+        m: InterpModule,
+        w: Word,
+        charged: bool,
+    ) -> Result<(Word, Option<Address>, u32)> {
         let mut cur = w;
+        let mut hops = 0;
         loop {
             if cur.tag() != Tag::Ref {
-                return Ok((cur, None));
+                return Ok((cur, None, hops));
             }
             let addr = cur.address_value().ok_or_else(|| PsiError::EvalError {
                 detail: "corrupt reference word".into(),
             })?;
-            let content = self.mem_read_dispatch(m, addr)?;
+            let content = if charged {
+                self.mem_read_dispatch(m, addr)?
+            } else {
+                self.bus.read(addr)?
+            };
+            hops += 1;
             match content.tag() {
-                Tag::Undef => return Ok((cur, Some(addr))),
+                Tag::Undef => return Ok((cur, Some(addr), hops)),
                 Tag::Ref => cur = content,
-                _ => return Ok((content, None)),
+                _ => return Ok((content, None, hops)),
             }
         }
     }
@@ -99,127 +119,32 @@ impl Machine {
         let mut work = std::mem::take(&mut self.scratch_unify);
         work.clear();
         work.push((a, b));
-        let r = if self.lane_compiled {
-            self.unify_work_compiled(&mut work)
-        } else {
-            self.unify_work(&mut work)
-        };
+        let r = self.unify_work(&mut work);
         work.clear();
         self.scratch_unify = work;
         r
     }
 
-    /// Compiled-lane twin of [`Machine::unify_work`]: identical host
-    /// semantics and identical charges, but each pair's eager
-    /// microstep sequence is one fused packet per case arm (the
-    /// packets are recorded from the same `step_*` calls the eager
-    /// loop makes, so the lanes cannot diverge).
-    fn unify_work_compiled(&mut self, work: &mut Vec<(Word, Word)>) -> Result<bool> {
-        while let Some((a, b)) = work.pop() {
-            let (av, acell) = self.deref(InterpModule::Unify, a)?;
-            let (bv, bcell) = self.deref(InterpModule::Unify, b)?;
-            match (acell, bcell) {
-                (Some(ac), Some(bc)) => {
-                    self.charge_packet(&self.charges.unify_case);
-                    if ac == bc {
-                        continue;
-                    }
-                    if ac.raw() < bc.raw() {
-                        self.bind(bc, Word::reference(ac))?;
-                    } else {
-                        self.bind(ac, Word::reference(bc))?;
-                    }
-                }
-                (Some(ac), None) => {
-                    self.charge_packet(&self.charges.unify_case);
-                    self.bind(ac, bv)?;
-                }
-                (None, Some(bc)) => {
-                    self.charge_packet(&self.charges.unify_case);
-                    self.bind(bc, av)?;
-                }
-                (None, None) => match (av.tag(), bv.tag()) {
-                    (Tag::Int, Tag::Int) | (Tag::Atom, Tag::Atom) => {
-                        self.charge_packet(&self.charges.unify_const);
-                        if av.data() != bv.data() {
-                            return Ok(false);
-                        }
-                    }
-                    (Tag::Nil, Tag::Nil) => self.charge_packet(&self.charges.unify_case),
-                    (Tag::List, Tag::List) => {
-                        let ap = av.address_value().expect("List");
-                        let bp = bv.address_value().expect("List");
-                        if ap == bp {
-                            self.charge_packet(&self.charges.unify_case);
-                        } else {
-                            self.charge_packet(&self.charges.unify_list);
-                            let acar = self.read_value_uncharged(ap)?;
-                            let bcar = self.read_value_uncharged(bp)?;
-                            let acdr = self.read_value_uncharged(ap.offset_by(1))?;
-                            let bcdr = self.read_value_uncharged(bp.offset_by(1))?;
-                            work.push((acdr, bcdr));
-                            work.push((acar, bcar));
-                        }
-                    }
-                    (Tag::Vect, Tag::Vect) => {
-                        let ap = av.address_value().expect("Vect");
-                        let bp = bv.address_value().expect("Vect");
-                        if ap == bp {
-                            self.charge_packet(&self.charges.unify_case);
-                        } else {
-                            self.charge_packet(&self.charges.unify_vect_head);
-                            let af = self.bus.read(ap)?;
-                            let bf = self.bus.read(bp)?;
-                            if af != bf {
-                                return Ok(false);
-                            }
-                            let arity = af.functor_value().map(|f| f.arity).unwrap_or(0);
-                            for i in (1..=arity as u32).rev() {
-                                self.charge_packet(&self.charges.unify_pair_read);
-                                let aa = self.read_value_uncharged(ap.offset_by(i))?;
-                                let ba = self.read_value_uncharged(bp.offset_by(i))?;
-                                work.push((aa, ba));
-                            }
-                        }
-                    }
-                    (Tag::HeapVect, Tag::HeapVect) => {
-                        self.charge_packet(&self.charges.unify_case);
-                        if av.data() != bv.data() {
-                            return Ok(false);
-                        }
-                    }
-                    _ => {
-                        self.charge_packet(&self.charges.unify_case);
-                        return Ok(false);
-                    }
-                },
-            }
-        }
-        Ok(true)
-    }
-
-    /// A value read whose memory charges are already covered by the
-    /// caller's fused packet (compiled lane only).
-    fn read_value_uncharged(&mut self, addr: Address) -> Result<Word> {
-        let w = self.bus.read(addr)?;
-        Ok(if w.is_undef() {
-            Word::reference(addr)
-        } else {
-            w
-        })
-    }
-
+    /// The pair loop. The fidelity lane charges each pair's tag-pair
+    /// dispatch eagerly, then its arm's steps one by one; the fast
+    /// lane charges each arm's recorded packet (dispatch included) up
+    /// front and does the reads it covers uncharged.
     fn unify_work(&mut self, work: &mut Vec<(Word, Word)>) -> Result<bool> {
+        let t = self.charges;
+        let fast = self.lane_compiled;
         while let Some((a, b)) = work.pop() {
             let (av, acell) = self.deref(InterpModule::Unify, a)?;
             let (bv, bcell) = self.deref(InterpModule::Unify, b)?;
-            self.micro(InterpModule::Unify, BranchOp::CaseTag, true);
-            self.wf
-                .touch_read(crate::wf::WfField::Source1, crate::wf::WfMode::Direct00);
-            self.wf
-                .touch_read(crate::wf::WfField::Source2, crate::wf::WfMode::Direct00);
+            if !fast {
+                self.micro(InterpModule::Unify, BranchOp::CaseTag, true);
+                self.wf
+                    .touch_read(crate::wf::WfField::Source1, crate::wf::WfMode::Direct00);
+                self.wf
+                    .touch_read(crate::wf::WfField::Source2, crate::wf::WfMode::Direct00);
+            }
             match (acell, bcell) {
                 (Some(ac), Some(bc)) => {
+                    self.charge_arm(&t.unify_case);
                     if ac == bc {
                         continue;
                     }
@@ -231,52 +156,73 @@ impl Machine {
                         self.bind(ac, Word::reference(bc))?;
                     }
                 }
-                (Some(ac), None) => self.bind(ac, bv)?,
-                (None, Some(bc)) => self.bind(bc, av)?,
+                (Some(ac), None) => {
+                    self.charge_arm(&t.unify_case);
+                    self.bind(ac, bv)?;
+                }
+                (None, Some(bc)) => {
+                    self.charge_arm(&t.unify_case);
+                    self.bind(bc, av)?;
+                }
                 (None, None) => match (av.tag(), bv.tag()) {
                     (Tag::Int, Tag::Int) | (Tag::Atom, Tag::Atom) => {
-                        self.test_const_step(InterpModule::Unify);
+                        self.charge_arm(&t.unify_const);
+                        if !fast {
+                            self.test_const_step(InterpModule::Unify);
+                        }
                         if av.data() != bv.data() {
                             return Ok(false);
                         }
                     }
-                    (Tag::Nil, Tag::Nil) => {}
+                    (Tag::List, Tag::List) | (Tag::Vect, Tag::Vect)
+                        if av.address_value() == bv.address_value() =>
+                    {
+                        self.charge_arm(&t.unify_case);
+                    }
                     (Tag::List, Tag::List) => {
                         let ap = av.address_value().expect("List");
                         let bp = bv.address_value().expect("List");
-                        if ap != bp {
-                            let acar = self.read_value(InterpModule::Unify, ap)?;
-                            let bcar = self.read_value(InterpModule::Unify, bp)?;
-                            let acdr = self.read_value(InterpModule::Unify, ap.offset_by(1))?;
-                            let bcdr = self.read_value(InterpModule::Unify, bp.offset_by(1))?;
-                            work.push((acdr, bcdr));
-                            work.push((acar, bcar));
-                        }
+                        self.charge_arm(&t.unify_list);
+                        let acar = self.read_value_in_arm(InterpModule::Unify, ap)?;
+                        let bcar = self.read_value_in_arm(InterpModule::Unify, bp)?;
+                        let acdr = self.read_value_in_arm(InterpModule::Unify, ap.offset_by(1))?;
+                        let bcdr = self.read_value_in_arm(InterpModule::Unify, bp.offset_by(1))?;
+                        work.push((acdr, bcdr));
+                        work.push((acar, bcar));
                     }
                     (Tag::Vect, Tag::Vect) => {
                         let ap = av.address_value().expect("Vect");
                         let bp = bv.address_value().expect("Vect");
-                        if ap != bp {
-                            let af = self.mem_read(InterpModule::Unify, ap)?;
-                            let bf = self.mem_read(InterpModule::Unify, bp)?;
+                        self.charge_arm(&t.unify_vect_head);
+                        let af = self.mem_read_in_arm(InterpModule::Unify, ap)?;
+                        let bf = self.mem_read_in_arm(InterpModule::Unify, bp)?;
+                        if !fast {
                             self.test_const_step(InterpModule::Unify);
-                            if af != bf {
-                                return Ok(false);
-                            }
-                            let arity = af.functor_value().map(|f| f.arity).unwrap_or(0);
-                            for i in (1..=arity as u32).rev() {
-                                let aa = self.read_value(InterpModule::Unify, ap.offset_by(i))?;
-                                let ba = self.read_value(InterpModule::Unify, bp.offset_by(i))?;
-                                work.push((aa, ba));
-                            }
+                        }
+                        if af != bf {
+                            return Ok(false);
+                        }
+                        let arity = af.functor_value().map(|f| f.arity).unwrap_or(0);
+                        for i in (1..=arity as u32).rev() {
+                            self.charge_arm(&t.unify_pair_read);
+                            let aa =
+                                self.read_value_in_arm(InterpModule::Unify, ap.offset_by(i))?;
+                            let ba =
+                                self.read_value_in_arm(InterpModule::Unify, bp.offset_by(i))?;
+                            work.push((aa, ba));
                         }
                     }
+                    (Tag::Nil, Tag::Nil) => self.charge_arm(&t.unify_case),
                     (Tag::HeapVect, Tag::HeapVect) => {
+                        self.charge_arm(&t.unify_case);
                         if av.data() != bv.data() {
                             return Ok(false);
                         }
                     }
-                    _ => return Ok(false),
+                    _ => {
+                        self.charge_arm(&t.unify_case);
+                        return Ok(false);
+                    }
                 },
             }
         }
@@ -354,22 +300,59 @@ impl Machine {
         Ok(true)
     }
 
-    /// Unifies one head argument word against a caller argument value.
-    pub(crate) fn unify_head_arg(&mut self, code_word: Word, arg: Word) -> Result<bool> {
-        match code_word.tag() {
+    /// Fetches head argument word `off` and unifies it against caller
+    /// argument `arg`. On the fast lane each arm's packet folds the
+    /// code fetch into the arm's first charge: the slot access, the
+    /// unify bracket, the first dispatch read, or nothing.
+    pub(crate) fn unify_head_arg(&mut self, off: u32, arg: Word) -> Result<bool> {
+        let t = self.charges;
+        let u = InterpModule::Unify.index();
+        // A flushed slot's access has the shape of a skeleton element
+        // cycle: fetch, address generation, access.
+        let slot_arm = [&t.head_slot_buf, &t.skel_fetch_cycle];
+        let w = self.fetch_code_in_arm(InterpModule::Unify, off)?;
+        match w.tag() {
             Tag::FirstVar => {
-                let slot = code_word.var_slot().expect("FirstVar");
-                self.write_slot(InterpModule::Unify, slot, arg, true)?;
+                let slot = w.var_slot().expect("FirstVar");
+                self.write_slot_in_arm(slot, arg, slot_arm)?;
                 Ok(true)
             }
-            Tag::Void => Ok(true),
+            Tag::Void => {
+                self.charge_arm(&t.code_fetch[u][1]);
+                Ok(true)
+            }
             Tag::LocalVar => {
-                let slot = code_word.var_slot().expect("LocalVar");
-                let v = self.read_slot(InterpModule::Unify, slot, true)?;
+                let slot = w.var_slot().expect("LocalVar");
+                let v = self.read_slot_in_arm(slot, slot_arm)?;
                 self.unify(v, arg)
             }
-            Tag::Atom | Tag::Int | Tag::Nil => self.unify(code_word, arg),
-            Tag::CodeList | Tag::CodeVect => self.unify_skeleton(code_word, arg),
+            Tag::Atom | Tag::Int | Tag::Nil => {
+                if !self.lane_compiled {
+                    return self.unify(w, arg);
+                }
+                // One packet: the fetch plus unify's gosub/return
+                // bracket, which commutes with the body's charges.
+                self.charge_packet(&t.head_const);
+                self.unify_inner(w, arg)
+            }
+            Tag::CodeList | Tag::CodeVect => {
+                let (v, cell, hops) =
+                    self.deref_walk(InterpModule::Unify, arg, !self.lane_compiled)?;
+                if self.lane_compiled {
+                    // The dominant single hop fuses the fetch with its
+                    // dispatch read. Dispatch ops are fixed, so
+                    // charging further hops after it stays exact.
+                    if hops == 0 {
+                        self.charge_packet(&t.code_fetch[u][1]);
+                    } else {
+                        self.charge_packet(&t.head_skel_ref);
+                    }
+                    for _ in 1..hops {
+                        self.charge_packet(&t.read_dispatch[u]);
+                    }
+                }
+                self.unify_skeleton_deref(w, v, cell)
+            }
             other => Err(PsiError::EvalError {
                 detail: format!("corrupt head argument word ({other})"),
             }),
@@ -380,104 +363,73 @@ impl Machine {
     /// element-wise if bound, copy to the global stack if unbound.
     pub(crate) fn unify_skeleton(&mut self, code_word: Word, value: Word) -> Result<bool> {
         let (v, cell) = self.deref(InterpModule::Unify, value)?;
+        self.unify_skeleton_deref(code_word, v, cell)
+    }
+
+    /// [`Machine::unify_skeleton`] past the deref of its value: `cell`
+    /// is the unbound cell the value ends in, or `v` the bound value.
+    /// On the fast lane the skeleton-kind dispatch rides in the first
+    /// packet of each arm.
+    #[inline]
+    fn unify_skeleton_deref(
+        &mut self,
+        code_word: Word,
+        v: Word,
+        cell: Option<Address>,
+    ) -> Result<bool> {
         if let Some(addr) = cell {
             let copied = self.copy_skeleton(code_word)?;
             self.bind(addr, copied)?;
             return Ok(true);
         }
-        if self.lane_compiled {
-            return self.unify_skeleton_compiled(code_word, v);
-        }
+        let t = self.charges;
         let off = code_word.data();
-        self.micro(InterpModule::Unify, BranchOp::CaseTag, true);
+        if !self.lane_compiled {
+            self.micro(InterpModule::Unify, BranchOp::CaseTag, true);
+        }
         match (code_word.tag(), v.tag()) {
             (Tag::CodeList, Tag::List) => {
                 let ptr = v.address_value().expect("List");
-                for i in 0..2 {
-                    let cw = self.fetch_code(InterpModule::Unify, BranchOp::CaseTag, off + i)?;
-                    let mv = self.read_value(InterpModule::Unify, ptr.offset_by(i))?;
-                    if !self.unify_code_arg(cw, mv)? {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
+                Ok(self.unify_skeleton_elem(&t.skel_head, off, ptr)?
+                    && self.unify_skeleton_elem(&t.skel_fetch_cycle, off + 1, ptr.offset_by(1))?)
             }
             (Tag::CodeVect, Tag::Vect) => {
                 let ptr = v.address_value().expect("Vect");
-                let cf = self.fetch_code(InterpModule::Unify, BranchOp::CaseTag, off)?;
-                let mf = self.mem_read(InterpModule::Unify, ptr)?;
-                self.micro_cond(InterpModule::Unify, true);
+                self.charge_arm(&t.skel_vect_test);
+                let cf = self.fetch_code_in_arm(InterpModule::Unify, off)?;
+                let mf = self.mem_read_in_arm(InterpModule::Unify, ptr)?;
+                if !self.lane_compiled {
+                    self.micro_cond(InterpModule::Unify, true);
+                }
                 if cf != mf {
                     return Ok(false);
                 }
                 let arity = cf.functor_value().map(|f| f.arity).unwrap_or(0);
+                // Charged only once the functor compare passes, so it
+                // stays out of the arm packet.
                 self.micro(InterpModule::Unify, BranchOp::LoadJr, true);
                 for i in 1..=arity as u32 {
-                    let cw = self.fetch_code(InterpModule::Unify, BranchOp::CaseTag, off + i)?;
-                    let mv = self.read_value(InterpModule::Unify, ptr.offset_by(i))?;
-                    if !self.unify_code_arg(cw, mv)? {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
-    }
-
-    /// Compiled-lane twin of the bound-value half of
-    /// [`Machine::unify_skeleton`]: the skeleton-kind dispatch and
-    /// each element's fetch + read are fused into one packet per
-    /// element (recorded from the eager lane's exact step sequence —
-    /// nothing charges between a fetch and its paired read there).
-    pub(crate) fn unify_skeleton_compiled(&mut self, code_word: Word, v: Word) -> Result<bool> {
-        let off = code_word.data();
-        match (code_word.tag(), v.tag()) {
-            (Tag::CodeList, Tag::List) => {
-                let ptr = v.address_value().expect("List");
-                self.charge_packet(&self.charges.skel_head);
-                let cw = self.fetch_code_uncharged(off)?;
-                let mv = self.read_value_uncharged(ptr)?;
-                if !self.unify_code_arg(cw, mv)? {
-                    return Ok(false);
-                }
-                self.charge_packet(&self.charges.skel_fetch_cycle);
-                let cw = self.fetch_code_uncharged(off + 1)?;
-                let mv = self.read_value_uncharged(ptr.offset_by(1))?;
-                self.unify_code_arg(cw, mv)
-            }
-            (Tag::CodeVect, Tag::Vect) => {
-                let ptr = v.address_value().expect("Vect");
-                self.charge_packet(&self.charges.skel_vect_test);
-                let cf = self.fetch_code_uncharged(off)?;
-                let mf = self.bus.read(ptr)?;
-                if cf != mf {
-                    return Ok(false);
-                }
-                let arity = cf.functor_value().map(|f| f.arity).unwrap_or(0);
-                // The fidelity lane charges the arity load-jr only
-                // after the functor compare passes, so it stays out of
-                // the head packet. It is a fixed (rotor-independent)
-                // op, and a one-step eager micro is cheaper than a
-                // packet charge anyway.
-                self.micro(InterpModule::Unify, BranchOp::LoadJr, true);
-                for i in 1..=arity as u32 {
-                    self.charge_packet(&self.charges.skel_fetch_cycle);
-                    let cw = self.fetch_code_uncharged(off + i)?;
-                    let mv = self.read_value_uncharged(ptr.offset_by(i))?;
-                    if !self.unify_code_arg(cw, mv)? {
+                    if !self.unify_skeleton_elem(&t.skel_fetch_cycle, off + i, ptr.offset_by(i))? {
                         return Ok(false);
                     }
                 }
                 Ok(true)
             }
             _ => {
-                // Kind-mismatch arm: just the dispatch (same shape as
-                // a bare unify pair dispatch).
-                self.charge_packet(&self.charges.unify_case);
+                self.charge_arm(&t.unify_case);
                 Ok(false)
             }
         }
+    }
+
+    /// Unifies skeleton element `off` against the value in cell
+    /// `addr`; `arm` is the fast lane's packet for the fetch and read.
+    #[inline(always)]
+    fn unify_skeleton_elem(&mut self, arm: &ChargePacket, off: u32, addr: Address) -> Result<bool> {
+        self.charge_arm(arm);
+        let cw = self.fetch_code_in_arm(InterpModule::Unify, off)?;
+        let mv = self.read_value_in_arm(InterpModule::Unify, addr)?;
+        self.unify_code_arg(cw, mv)
     }
 
     /// Unifies one skeleton element word against a runtime value.
@@ -518,32 +470,28 @@ impl Machine {
     }
 
     fn copy_skeleton_inner(&mut self, code_word: Word) -> Result<Word> {
-        if self.lane_compiled {
-            return self.copy_skeleton_inner_compiled(code_word);
-        }
         let off = code_word.data();
         match code_word.tag() {
             Tag::CodeList => {
                 let base = self.procs[self.cur].global_top;
                 self.procs[self.cur].global_top = base + 2;
                 for i in 0..2 {
-                    let cw = self.fetch_code(InterpModule::Unify, BranchOp::CaseTag, off + i)?;
-                    let w = self.copy_code_arg(cw)?;
-                    self.mem_push(InterpModule::Unify, self.global_addr(base + i), w)?;
+                    self.copy_skeleton_elem(off + i, base + i)?;
                 }
                 Ok(Word::list(self.global_addr(base)))
             }
             Tag::CodeVect => {
-                let cf = self.fetch_code(InterpModule::Unify, BranchOp::CaseTag, off)?;
+                self.charge_arm(&self.charges.skel_vect_copy_head);
+                let cf = self.fetch_code_in_arm(InterpModule::Unify, off)?;
                 let arity = cf.functor_value().map(|f| f.arity).unwrap_or(0) as u32;
                 let base = self.procs[self.cur].global_top;
                 self.procs[self.cur].global_top = base + 1 + arity;
-                self.mem_push(InterpModule::Unify, self.global_addr(base), cf)?;
-                self.micro(InterpModule::Unify, BranchOp::LoadJr, true);
+                self.mem_push_in_arm(InterpModule::Unify, self.global_addr(base), cf)?;
+                if !self.lane_compiled {
+                    self.micro(InterpModule::Unify, BranchOp::LoadJr, true);
+                }
                 for i in 1..=arity {
-                    let cw = self.fetch_code(InterpModule::Unify, BranchOp::CaseTag, off + i)?;
-                    let w = self.copy_code_arg(cw)?;
-                    self.mem_push(InterpModule::Unify, self.global_addr(base + i), w)?;
+                    self.copy_skeleton_elem(off + i, base + i)?;
                 }
                 Ok(Word::vect(self.global_addr(base)))
             }
@@ -553,96 +501,44 @@ impl Machine {
         }
     }
 
-    /// Compiled-lane twin of [`Machine::copy_skeleton_inner`]. A
-    /// constant element's fetch and push are consecutive charges in
-    /// the eager lane, so they fuse into one packet; a variable or
-    /// nested element charges between its fetch and its push
-    /// (`copy_code_arg`), so those stay split.
-    fn copy_skeleton_inner_compiled(&mut self, code_word: Word) -> Result<Word> {
-        let off = code_word.data();
-        match code_word.tag() {
-            Tag::CodeList => {
-                let base = self.procs[self.cur].global_top;
-                self.procs[self.cur].global_top = base + 2;
-                for i in 0..2 {
-                    self.copy_skel_elem(off + i, base + i)?;
-                }
-                Ok(Word::list(self.global_addr(base)))
-            }
-            Tag::CodeVect => {
-                self.charge_packet(&self.charges.skel_vect_copy_head);
-                let cf = self.fetch_code_uncharged(off)?;
-                let arity = cf.functor_value().map(|f| f.arity).unwrap_or(0) as u32;
-                let base = self.procs[self.cur].global_top;
-                self.procs[self.cur].global_top = base + 1 + arity;
-                self.bus.write_stack(self.global_addr(base), cf)?;
-                for i in 1..=arity {
-                    self.copy_skel_elem(off + i, base + i)?;
-                }
-                Ok(Word::vect(self.global_addr(base)))
-            }
-            other => Err(PsiError::EvalError {
-                detail: format!("not a skeleton word ({other})"),
-            }),
-        }
-    }
-
-    /// Copies one skeleton element (code offset `off`) to global-stack
-    /// offset `dst` — compiled lane only; picks the fused or the split
-    /// charge shape by the element's kind.
-    fn copy_skel_elem(&mut self, off: u32, dst: u32) -> Result<()> {
-        use crate::exec::SlotPlace;
-        let cw = self.fetch_code_uncharged(off)?;
+    /// Copies skeleton element `off` to global-stack offset `dst`. On
+    /// the fast lane a constant or slot-variable element is one packet
+    /// (fetch, any slot read, push); any other element charges between
+    /// its fetch and its push, so those two stay split.
+    fn copy_skeleton_elem(&mut self, off: u32, dst: u32) -> Result<()> {
+        let t = self.charges;
+        let u = InterpModule::Unify.index();
+        let cw = self.fetch_code_in_arm(InterpModule::Unify, off)?;
         let w = match cw.tag() {
             Tag::Atom | Tag::Int | Tag::Nil => {
-                self.charge_packet(&self.charges.skel_fetch_cycle);
+                self.charge_arm(&t.skel_fetch_cycle);
                 cw
             }
             Tag::LocalVar => {
                 let slot = cw.var_slot().expect("LocalVar");
-                match self.slot_place(slot) {
-                    SlotPlace::Buffered(buf) => {
-                        self.charge_packet(&self.charges.skel_var_buf);
-                        self.wf.read_buffer(buf, slot as u32, false, true)
-                    }
-                    SlotPlace::Flushed(addr) => {
-                        self.charge_packet(&self.charges.skel_var_mem);
-                        self.bus.read(addr)?
-                    }
-                }
+                self.read_slot_in_arm(slot, [&t.skel_var_buf, &t.skel_var_mem])?
             }
-            _ => {
-                self.charge_packet(&self.charges.code_fetch[InterpModule::Unify.index()][1]);
-                let w = self.copy_code_arg(cw)?;
-                self.charge_packet(&self.charges.addr_cycle[InterpModule::Unify.index()]);
+            tag => {
+                self.charge_arm(&t.code_fetch[u][1]);
+                let w = match tag {
+                    Tag::FirstVar => {
+                        let slot = cw.var_slot().expect("FirstVar");
+                        let cell = self.new_global_cell(InterpModule::Unify)?;
+                        self.write_slot(InterpModule::Unify, slot, Word::reference(cell), true)?;
+                        Word::reference(cell)
+                    }
+                    Tag::Void => Word::reference(self.new_global_cell(InterpModule::Unify)?),
+                    Tag::CodeList | Tag::CodeVect => self.copy_skeleton_inner(cw)?,
+                    other => {
+                        return Err(PsiError::EvalError {
+                            detail: format!("corrupt skeleton element ({other})"),
+                        })
+                    }
+                };
+                self.charge_arm(&t.addr_cycle[u]);
                 w
             }
         };
-        self.bus.write_stack(self.global_addr(dst), w)
-    }
-
-    /// Copies one skeleton element into a runtime value word.
-    fn copy_code_arg(&mut self, code_word: Word) -> Result<Word> {
-        match code_word.tag() {
-            Tag::Atom | Tag::Int | Tag::Nil => Ok(code_word),
-            Tag::FirstVar => {
-                let slot = code_word.var_slot().expect("FirstVar");
-                let cell = self.new_global_cell(InterpModule::Unify)?;
-                self.write_slot(InterpModule::Unify, slot, Word::reference(cell), true)?;
-                Ok(Word::reference(cell))
-            }
-            Tag::LocalVar => {
-                let slot = code_word.var_slot().expect("LocalVar");
-                self.read_slot(InterpModule::Unify, slot, true)
-            }
-            Tag::Void => {
-                let cell = self.new_global_cell(InterpModule::Unify)?;
-                Ok(Word::reference(cell))
-            }
-            Tag::CodeList | Tag::CodeVect => self.copy_skeleton_inner(code_word),
-            other => Err(PsiError::EvalError {
-                detail: format!("corrupt skeleton element ({other})"),
-            }),
-        }
+        self.mem_push_in_arm(InterpModule::Unify, self.global_addr(dst), w)
     }
 }

@@ -126,6 +126,81 @@ pub fn assert_bindings_match_fidelity(lanes: &[Lane]) {
     }
 }
 
+/// A fixed program that reaches every arm the lanes share one body
+/// for but charge differently: each unify pair arm, the skeleton
+/// match and copy arms, the head-argument slot arms with the slot
+/// buffered and flushed, and packed and unpacked goal arguments.
+/// The 19 Table 1 rows do not promise all of these.
+const ARM_COVERAGE: &str = "
+    t(_).
+    two(1).
+    two(2).
+    % var-var in both binding directions and on the same cell.
+    vv(f(X, Y, Z, W)) :- t(X), t(Y), X = Y, t(Z), t(W), W = Z, X = X, Z = 1.
+    % list/list and struct/struct on the same pointer, on different
+    % pointers, and a heap-vector pair.
+    same(L, S) :- L = [1, 2], L = L, S = f(a, g(b)), S = S,
+        [A, B | T] = [1, 2, 3], f(A, g(C)) = f(1, g(B)), T = [3].
+    hv :- vector(V, 2), V = V, vector(W, 2), V \\= W.
+    % const, functor, arity and kind mismatches.
+    ne :- 1 \\= 2, a \\= b, f(a) \\= g(a), f(a) \\= f(a, b), a \\= 1,
+        [a] \\= f(a), [] = [], [] \\= a.
+    % Skeleton heads against bound values, kind and functor mismatch.
+    kind([_|_], list).
+    kind(f(_, x), struct).
+    kind(_, other).
+    kinds([K1, K2, K3, K4, K5]) :- kind([1], K1), kind(f(1, x), K2),
+        kind(f(1, y), K3), kind(g(1, x), K4), kind(a, K5).
+    len([], 0).
+    len([_|T], N) :- len(T, M), N is M + 1.
+    mk([a, X, X | T]) :- X = 1, T = [].
+    % Skeleton head arguments reached through 0, 1 and 3 hops, bound
+    % and unbound at the end of the chain.
+    hops([N0, N1, N3, L]) :- len([1, 2], N0), P = [1], len(P, N1),
+        t(A), t(B), t(C), C = B, B = A, mk(C), A = L, len(C, N3).
+    % Head slots: first-var and local-var, buffered.
+    eq(X, X).
+    % The same with the slot flushed: over 64 locals leaves the
+    % activation unbuffered.
+    wide(X, X) :- WIDE.
+    % Goal arguments after a choice point, read from flushed slots:
+    % packed, unpacked and inside a copied skeleton.
+    cp(R) :- t(X), X = 5, two(Y), p4(X, 3, [], _), R = f(X, [X, Y], _, Z, Z, g(Z)).
+    p4(A, B, C, _) :- t(A), t(B), t(C).
+    unpacked(a, f(b), X, 100, X).
+    main(r(A, B, C, D, E, F, G, H)) :- vv(A), same(B, C), hv, ne, kinds(D),
+        hops(E), eq(1, F), wide(2, G), cp(H), unpacked(a, f(b), Q, 100, Q).
+";
+
+/// Every shared-body arm gives the same solutions and deterministic
+/// counters in each lane as in the fidelity lane.
+pub fn assert_fused_arms_match_fidelity(lanes: &[Lane]) {
+    let wide: Vec<String> = (0..64).map(|i| format!("eq(V{i}, V{i})")).collect();
+    let src = ARM_COVERAGE.replace("WIDE", &wide.join(", "));
+    let program = Program::parse(&src).expect("parses");
+    let run = |config: MachineConfig| {
+        let mut m = Machine::load(&program, config).expect("loads");
+        let solutions: Vec<String> = m
+            .solve("main(R)", usize::MAX)
+            .expect("solves")
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        (solutions, m.stats())
+    };
+    let (reference, stats) = run(MachineConfig::psi());
+    assert_eq!(reference.len(), 8, "{reference:?}");
+    for (lane, config) in lanes {
+        let (solutions, fast) = run(config.clone());
+        assert_eq!(reference, solutions, "solutions diverge in the {lane} lane");
+        assert_eq!(
+            deterministic_view(&stats),
+            deterministic_view(&fast),
+            "deterministic counters diverge in the {lane} lane"
+        );
+    }
+}
+
 /// A fused superinstruction covering N microsteps must charge all N
 /// before its constituent's governor tick, so a step budget trips at
 /// the same typed error with the same consumption in every lane — the

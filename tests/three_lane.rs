@@ -49,6 +49,13 @@ fn solution_bindings_are_lane_invariant_across_three_lanes() {
     lanes::assert_bindings_match_fidelity(&pre_change_fast_lanes());
 }
 
+/// Every arm whose charges the lanes split, including those the
+/// Table 1 rows may not reach.
+#[test]
+fn fused_arms_are_lane_invariant_across_three_lanes() {
+    lanes::assert_fused_arms_match_fidelity(&pre_change_fast_lanes());
+}
+
 #[test]
 fn step_budget_exhaustion_is_lane_invariant_across_three_lanes() {
     lanes::assert_step_budget_trips_like_fidelity(&pre_change_fast_lanes());

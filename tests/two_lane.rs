@@ -32,6 +32,13 @@ fn solution_bindings_are_lane_invariant() {
     lanes::assert_bindings_match_fidelity(&fast());
 }
 
+/// Every arm whose charges the lanes split, including those the
+/// Table 1 rows may not reach.
+#[test]
+fn fused_arms_are_lane_invariant() {
+    lanes::assert_fused_arms_match_fidelity(&fast());
+}
+
 #[test]
 fn step_budget_exhaustion_is_lane_invariant() {
     lanes::assert_step_budget_trips_like_fidelity(&fast());
