@@ -230,9 +230,14 @@ impl Client {
         self.expect_ack("bye")
     }
 
+    /// Writes `line` and its `\n` in one call, so a request leaves as
+    /// one segment on the no-delay socket and the server reads it in
+    /// one wake-up.
     fn send(&mut self, line: &str) -> Result<(), ClientError> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        let mut framed = String::with_capacity(line.len() + 1);
+        framed.push_str(line);
+        framed.push('\n');
+        self.writer.write_all(framed.as_bytes())?;
         Ok(())
     }
 

@@ -7,13 +7,23 @@
 //! lives in [`crate::session`] and [`crate::pool`]; this module only
 //! moves bytes and enforces the byte-level input rules (request size
 //! cap, UTF-8).
+//!
+//! The accept thread blocks in `accept`, so a new connection is served
+//! the moment it arrives. To stop, [`Server`] sets the shutdown flag and
+//! then opens one wake-up connection to its own listener (loopback of
+//! the same family when bound to an unspecified address). The accept
+//! thread checks the flag as soon as `accept` returns, drops that
+//! stream unserved and joins its connection threads. An `accept` error
+//! never ends service: interrupted and aborted accepts retry at once,
+//! any other error (say, out of file descriptors) retries after a short
+//! back-off until shutdown.
 
 use crate::pool::{MachinePool, PoolOptions};
 use crate::protocol::{hello_line, protocol_error_line, MAX_REQUEST_BYTES};
 use crate::session::{Session, SessionTurn};
 use psi_machine::{MachineConfig, ResourceLimits};
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -81,7 +91,6 @@ impl Server {
     pub fn spawn(options: ServerOptions) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&options.addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let pool = Arc::new(MachinePool::new(options.config, options.pool));
         let shutdown = Arc::new(AtomicBool::new(false));
         let accept_pool = Arc::clone(&pool);
@@ -89,8 +98,14 @@ impl Server {
         let caps = options.caps;
         let accept_thread = std::thread::spawn(move || {
             let mut workers: Vec<JoinHandle<()>> = Vec::new();
-            while !accept_shutdown.load(Ordering::SeqCst) {
-                match listener.accept() {
+            loop {
+                let accepted = listener.accept();
+                // `stop()` sets the flag before its wake-up connection,
+                // so that stream is dropped here unserved.
+                if accept_shutdown.load(Ordering::SeqCst) {
+                    break;
+                }
+                match accepted {
                     Ok((stream, _)) => {
                         let pool = Arc::clone(&accept_pool);
                         let shutdown = Arc::clone(&accept_shutdown);
@@ -99,10 +114,14 @@ impl Server {
                             serve_connection(stream, pool, caps, &shutdown);
                         }));
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                    Err(_) => break,
+                    Err(e)
+                        if matches!(
+                            e.kind(),
+                            ErrorKind::Interrupted | ErrorKind::ConnectionAborted
+                        ) => {}
+                    // Out of descriptors or memory: keep the listener and
+                    // try again once some connection has let go.
+                    Err(_) => std::thread::sleep(Duration::from_millis(10)),
                 }
                 workers.retain(|w| !w.is_finished());
             }
@@ -128,9 +147,10 @@ impl Server {
         &self.pool
     }
 
-    /// Signals shutdown and joins the accept thread (which joins every
-    /// connection thread). Connection threads notice within their read
-    /// timeout (500 ms).
+    /// Signals shutdown, wakes the accept thread with one connection
+    /// to the listener and joins it (it joins every connection
+    /// thread). Connection threads notice within their read timeout
+    /// (500 ms).
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -138,9 +158,28 @@ impl Server {
     fn stop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+            // Without the wake-up the accept thread would block forever;
+            // leave it detached rather than hang the caller.
+            if TcpStream::connect_timeout(&wake_addr(self.local_addr), WAKE_TIMEOUT).is_ok() {
+                let _ = t.join();
+            }
         }
     }
+}
+
+/// How long `stop()` waits for its wake-up connection to be accepted
+/// by the kernel.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Where `stop()` connects to wake `accept`: the bound address, with an
+/// unspecified IP (`0.0.0.0`, `::`) replaced by loopback of its family.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
 }
 
 impl Drop for Server {
@@ -258,6 +297,25 @@ fn serve_connection(
                 session.finish();
                 return;
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wake_addr_maps_unspecified_to_loopback_of_the_same_family() {
+        let cases = [
+            ("0.0.0.0:7001", "127.0.0.1:7001"),
+            ("[::]:7002", "[::1]:7002"),
+            ("127.0.0.1:7003", "127.0.0.1:7003"),
+            ("192.0.2.5:7004", "192.0.2.5:7004"),
+        ];
+        for (bound, wake) in cases {
+            let bound: SocketAddr = bound.parse().unwrap();
+            assert_eq!(wake_addr(bound), wake.parse().unwrap(), "{bound}");
         }
     }
 }

@@ -14,7 +14,8 @@ use psi_server::{Client, ClientError, LimitsPatch, Server, ServerOptions};
 use psi_workloads::suite::table1_suite;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 fn spawn_server() -> Server {
     Server::spawn(ServerOptions::default()).expect("bind 127.0.0.1:0")
@@ -255,4 +256,49 @@ fn a_second_fill_session_sees_only_its_own_clauses() {
         );
     }
     server.shutdown();
+}
+
+/// Drops `server` on a helper thread and fails unless the drop (set the
+/// flag, wake `accept`, join every thread) returns within `bound`.
+fn assert_drops_within(server: Server, bound: Duration) {
+    let (done, finished) = mpsc::channel();
+    let start = Instant::now();
+    let dropper = std::thread::spawn(move || {
+        drop(server);
+        let _ = done.send(());
+    });
+    finished
+        .recv_timeout(bound)
+        .unwrap_or_else(|_| panic!("server still running {bound:?} after drop"));
+    assert!(start.elapsed() < bound, "drop took {:?}", start.elapsed());
+    dropper.join().expect("dropping the server does not panic");
+}
+
+#[test]
+fn an_idle_loopback_server_drops_within_a_second() {
+    assert_drops_within(spawn_server(), Duration::from_secs(1));
+}
+
+#[test]
+fn an_idle_server_on_every_interface_drops_within_a_second() {
+    let server = Server::spawn(ServerOptions {
+        addr: "0.0.0.0:0".to_owned(),
+        ..ServerOptions::default()
+    })
+    .expect("bind 0.0.0.0:0");
+    assert!(server.local_addr().ip().is_unspecified());
+    assert_drops_within(server, Duration::from_secs(1));
+}
+
+#[test]
+fn a_hundred_sequential_sessions_then_a_prompt_shutdown() {
+    let server = spawn_server();
+    for i in 0..100 {
+        let client = Client::connect(server.local_addr())
+            .unwrap_or_else(|e| panic!("session {i}: connect and hello: {e}"));
+        client
+            .close()
+            .unwrap_or_else(|e| panic!("session {i}: close: {e}"));
+    }
+    assert_drops_within(server, Duration::from_secs(1));
 }
