@@ -7,7 +7,7 @@
 //! of the tracked sections (`"Table 1"` … `"Table 7"`, `"Figure 1"`,
 //! `"Ablation"`).
 
-use psi_bench::drift::{drift_against, Tolerance, TRACKED_SECTIONS};
+use psi_bench::drift::{drift_against, TRACKED_SECTIONS};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -40,7 +40,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let report = drift_against(&markdown, Tolerance::EXACT);
+    let report = drift_against(&markdown);
     print!("{}", report.render());
     if report.has_drift() {
         ExitCode::FAILURE

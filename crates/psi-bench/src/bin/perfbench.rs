@@ -3,39 +3,38 @@
 //! the fidelity and fast (compiled) lanes, checks all four cells
 //! produce identical solutions (and the lanes identical step counts),
 //! and writes the measurements to `BENCH_psi.json` at the repository
-//! root.
+//! root. Every recorded number is deterministic, so each cell runs
+//! once.
 //!
 //! Usage: `cargo run --release -p psi-bench --bin perfbench --
-//! [--quick] [--rows FILTER] [--check-steps] [--out PATH]`.
-//!
-//! `--quick` runs a single repetition with no warmup (CI smoke mode);
-//! wall times are then noisy, but the equivalence checks and
-//! simulator statistics are identical to a full run.
+//! [--rows FILTER] [--check-steps] [--out PATH]`.
 //!
 //! `--rows FILTER` runs a subset of the 19 programs: comma-separated
 //! tokens, each a 1-based row number or a case-insensitive substring
 //! of the program name (e.g. `--rows lisp` or `--rows 1,7,qsort`).
 //!
-//! `--check-steps` compares the fidelity lane's per-program microstep
-//! totals against the previously written report at the output path
-//! (the microstep-regression gate) before overwriting it.
+//! `--check-steps` diffs every deterministic field of every cell
+//! ([`PERF_DIFF`]) against the previously written report at the output
+//! path (the microstep-regression gate) before overwriting it. A
+//! `--rows` run is compared against the archived cells of its own
+//! programs only.
 //!
 //! Exits nonzero if any workload's solutions differ between cells,
 //! any deterministic counter differs between lanes, or `--check-steps`
-//! finds a microstep drift.
+//! finds drift.
 
-use psi_bench::perf::{archived_steps, run_rows, PerfOptions, PerfReport};
+use psi_bench::drift::diff_reports;
+use psi_bench::perf::{run_rows, PERF_DIFF};
+use psi_tools::json::parse_report;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut options = PerfOptions::full();
     let mut out_path: Option<String> = None;
     let mut rows_filter: Option<String> = None;
     let mut check_steps = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--quick" => options = PerfOptions::quick(),
             "--check-steps" => check_steps = true,
             "--out" => match args.next() {
                 Some(p) => out_path = Some(p),
@@ -53,9 +52,7 @@ fn main() -> ExitCode {
             },
             other => {
                 eprintln!("perfbench: unknown argument `{other}`");
-                eprintln!(
-                    "usage: perfbench [--quick] [--rows FILTER] [--check-steps] [--out PATH]"
-                );
+                eprintln!("usage: perfbench [--rows FILTER] [--check-steps] [--out PATH]");
                 return ExitCode::FAILURE;
             }
         }
@@ -82,19 +79,19 @@ fn main() -> ExitCode {
     let archived = if check_steps {
         let archived = std::fs::read_to_string(path)
             .map_err(|e| e.to_string())
-            .and_then(|json| archived_steps(&json).map_err(|e| e.to_string()));
+            .and_then(|json| parse_report(&json).map_err(|e| e.to_string()));
         match archived {
-            Ok(steps) => steps,
+            Ok(report) => Some(report),
             Err(e) => {
                 eprintln!("perfbench: --check-steps needs an existing report at `{out_path}`: {e}");
                 return ExitCode::FAILURE;
             }
         }
     } else {
-        Vec::new()
+        None
     };
 
-    let report = match run_rows(options, rows_filter.as_deref()) {
+    let report = match run_rows(rows_filter.as_deref()) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("perfbench: suite failed: {e}");
@@ -109,16 +106,41 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     print!("{}", report.render());
+    let json = report.to_json();
 
     let mut failed = false;
-    if check_steps && !steps_match_archive(&report, &archived) {
-        failed = true;
+    if let Some(mut archived) = archived {
+        // A row subset is compared against its own programs' cells.
+        if rows_filter.is_some() {
+            let measured = |program: &str| report.rows.iter().any(|r| r.program == program);
+            for (_, entries) in &mut archived.arrays {
+                entries.retain(|e| e.str_field("program").is_ok_and(measured));
+            }
+        }
+        let fresh = parse_report(&json).expect("a perf report parses back");
+        match diff_reports(&archived, &fresh, &PERF_DIFF) {
+            Ok(diff) if !diff.has_drift() => println!(
+                "check-steps: {} cells, {} values match the archive",
+                diff.compared, diff.values
+            ),
+            Ok(diff) => {
+                eprint!(
+                    "perfbench: the run drifted from the archive:\n{}",
+                    diff.render()
+                );
+                failed = true;
+            }
+            Err(e) => {
+                eprintln!("perfbench: --check-steps cannot read the archived report: {e}");
+                failed = true;
+            }
+        }
     }
 
     // A row subset is a spot check, not the archive: only a full run
     // may overwrite the repository's benchmark report.
     if rows_filter.is_none() {
-        if let Err(e) = std::fs::write(path, report.to_json()) {
+        if let Err(e) = std::fs::write(path, json) {
             eprintln!("perfbench: cannot write {out_path}: {e}");
             return ExitCode::FAILURE;
         }
@@ -144,31 +166,4 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
-}
-
-/// The microstep-regression gate: every program present in both the
-/// archived report and this run must have identical fidelity-lane
-/// linear-profile step totals.
-fn steps_match_archive(report: &PerfReport, archived: &[(String, u64)]) -> bool {
-    let mut ok = true;
-    let mut compared = 0usize;
-    for row in &report.rows {
-        if let Some((_, old)) = archived.iter().find(|(name, _)| *name == row.program) {
-            compared += 1;
-            let new = row.fidelity.linear.steps;
-            if new != *old {
-                eprintln!(
-                    "perfbench: microstep regression on `{}`: archived {old} steps, measured {new}",
-                    row.program
-                );
-                ok = false;
-            }
-        }
-    }
-    if compared == 0 {
-        eprintln!("perfbench: --check-steps found no overlapping programs in the archived report");
-        return false;
-    }
-    println!("check-steps: {compared} programs match the archived microstep totals");
-    ok
 }

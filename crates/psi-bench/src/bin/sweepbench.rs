@@ -9,9 +9,10 @@
 //! [--cells DIR] [--limit N] [--compare-fresh] [--out PATH]`
 //!
 //! or: `sweepbench diff OLD.json NEW.json` — compare two sweep
-//! reports cell by cell on the deterministic fields (steps, simulated
-//! time, solutions, hit ratio, improvement ratio; wall times are
-//! untracked) and exit nonzero on drift.
+//! reports cell by cell on the deterministic fields (outcome, steps,
+//! simulated time, solutions, hit ratio, improvement ratio; wall
+//! times are untracked) through the shared keyed diff, and exit
+//! nonzero on drift.
 //!
 //! The default grid is ~600 cells: six capacities × {1,2} ways ×
 //! {4,8}-word blocks × both write policies on the fidelity lane, with
@@ -36,12 +37,13 @@
 //! `--compare-fresh` cross-check drifts, or on a malformed
 //! invocation.
 
-use psi_bench::drift::Tolerance;
+use psi_bench::drift::diff_reports;
 use psi_bench::sweep::{
-    diff_cells, diff_reports, run_sweep, ConfigPoint, GeometryAxis, Lane, ModeComparison,
-    SweepMode, SweepOptions, SweepSpec,
+    run_sweep, ConfigPoint, GeometryAxis, Lane, ModeComparison, SweepMode, SweepOptions, SweepSpec,
+    SWEEP_DIFF,
 };
 use psi_cache::WritePolicy;
+use psi_tools::json::parse_report;
 use psi_workloads::{contest, parsers, window};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -138,7 +140,9 @@ fn run_diff(old_path: &str, new_path: &str) -> ExitCode {
     let (Some(old), Some(new)) = (read(old_path), read(new_path)) else {
         return ExitCode::FAILURE;
     };
-    match diff_reports(&old, &new, Tolerance::EXACT) {
+    let diff =
+        parse_report(&old).and_then(|old| diff_reports(&old, &parse_report(&new)?, &SWEEP_DIFF));
+    match diff {
         Ok(diff) => {
             print!("{}", diff.render());
             if diff.has_drift() {
@@ -290,19 +294,23 @@ fn main() -> ExitCode {
         };
         let mut engine_wall_ns = u64::MAX;
         let mut fresh_wall_ns = u64::MAX;
-        let mut fresh_cells = None;
+        let mut fresh_report = None;
         for _ in 0..2 {
             let (w, _) = timed(options.mode);
             engine_wall_ns = engine_wall_ns.min(w);
             let (w, fresh) = timed(SweepMode::Fresh);
             fresh_wall_ns = fresh_wall_ns.min(w);
-            fresh_cells.get_or_insert(fresh.cells);
+            fresh_report.get_or_insert(fresh);
         }
         // The baseline must also agree bit-for-bit on every
         // deterministic field — the speed comparison is only valid
         // between runs that compute the same thing.
-        let fresh_cells = fresh_cells.expect("two passes ran");
-        let diff = diff_cells(&report.cells, &fresh_cells, Tolerance::EXACT);
+        let fresh = fresh_report.expect("two passes ran");
+        let parse = |r: &psi_bench::sweep::SweepReport| {
+            parse_report(&r.to_json()).expect("a sweep report parses back")
+        };
+        let diff = diff_reports(&parse(&report), &parse(&fresh), &SWEEP_DIFF)
+            .expect("a sweep report has a keyed cells array");
         if diff.has_drift() {
             eprintln!(
                 "sweepbench: {} run disagrees with the fresh baseline:\n{}",

@@ -13,18 +13,24 @@
 //!
 //! The wall-clock "Regeneration performance" section is deliberately
 //! not tracked — it measures the host, not the simulator. Everything
-//! the simulator produces is deterministic, so the default tolerance
-//! is [`Tolerance::EXACT`]: any cell that moves is drift until a
-//! change to the model explains it and the archive is regenerated.
+//! the simulator produces is deterministic, so cells compare exactly:
+//! any cell that moves is drift until a change to the model explains
+//! it and the archive is regenerated.
 //!
 //! The `drift_report` binary runs [`drift_against`] on the repo's
 //! EXPERIMENTS.md and exits nonzero on drift; CI runs it so an
 //! unexplained change to any archived measurement fails the build.
+//!
+//! The `BENCH_*.json` archives are gated the same way by
+//! [`diff_reports`]: two reports' entries pair by key, and every
+//! field a [`DiffSpec`] declares deterministic must match exactly.
 
 use crate::{
     ablation_report, figure1_report, table1_report, table2_report, table3_report, table4_report,
     table5_report, table6_report, table7_report,
 };
+use psi_tools::json::{JsonObject, JsonValue, Report};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// A report generator paired with its archive key.
@@ -44,34 +50,6 @@ pub const TRACKED_SECTIONS: [TrackedSection; 9] = [
     ("Figure 1", figure1_report as fn() -> String),
     ("Ablation", ablation_report as fn() -> String),
 ];
-
-/// How far a regenerated cell may sit from its archived value before
-/// it counts as drift: `|archived - regenerated| <= abs + rel *
-/// |archived|`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Tolerance {
-    /// Absolute slack, in the cell's own unit.
-    pub abs: f64,
-    /// Relative slack, as a fraction of the archived value.
-    pub rel: f64,
-}
-
-impl Tolerance {
-    /// No slack at all — the simulator is deterministic, so the
-    /// archives must reproduce to the printed digit.
-    pub const EXACT: Tolerance = Tolerance { abs: 0.0, rel: 0.0 };
-
-    /// Does the pair of values sit within this tolerance?
-    pub fn allows(self, archived: f64, regenerated: f64) -> bool {
-        (archived - regenerated).abs() <= self.abs + self.rel * archived.abs()
-    }
-}
-
-impl Default for Tolerance {
-    fn default() -> Tolerance {
-        Tolerance::EXACT
-    }
-}
 
 /// One numeric cell that moved between the archive and the
 /// regenerated report.
@@ -109,7 +87,7 @@ pub struct SectionDrift {
     pub section: String,
     /// How many numeric cells were compared.
     pub cells: usize,
-    /// Cells whose values moved beyond the tolerance.
+    /// Cells whose values moved.
     pub deltas: Vec<CellDelta>,
     /// Structural mismatches: differing line counts, differing cell
     /// counts on a line, or non-numeric text that changed.
@@ -256,12 +234,7 @@ fn split_cells(line: &str) -> (Vec<f64>, String) {
 
 /// Compares one archived block against its regenerated report,
 /// cell by cell.
-pub fn compare_section(
-    section: &str,
-    archived: &str,
-    regenerated: &str,
-    tolerance: Tolerance,
-) -> SectionDrift {
+pub fn compare_section(section: &str, archived: &str, regenerated: &str) -> SectionDrift {
     let mut drift = SectionDrift {
         section: section.to_string(),
         cells: 0,
@@ -296,7 +269,7 @@ pub fn compare_section(
         }
         drift.cells += cells_a.len();
         for (j, (&va, &vr)) in cells_a.iter().zip(&cells_r).enumerate() {
-            if !tolerance.allows(va, vr) {
+            if va != vr {
                 drift.deltas.push(CellDelta {
                     line,
                     cell: j + 1,
@@ -311,7 +284,7 @@ pub fn compare_section(
 
 /// Regenerates every tracked report and diffs it against the archived
 /// blocks of `markdown` (an EXPERIMENTS.md document).
-pub fn drift_against(markdown: &str, tolerance: Tolerance) -> DriftReport {
+pub fn drift_against(markdown: &str) -> DriftReport {
     let blocks = archived_blocks(markdown);
     let mut report = DriftReport {
         sections: Vec::new(),
@@ -322,12 +295,210 @@ pub fn drift_against(markdown: &str, tolerance: Tolerance) -> DriftReport {
             Some((_, archived)) => {
                 report
                     .sections
-                    .push(compare_section(name, archived, &regenerate(), tolerance));
+                    .push(compare_section(name, archived, &regenerate()));
             }
             None => report.missing.push(name.to_string()),
         }
     }
     report
+}
+
+/// The deterministic part of one `BENCH_*.json` report array, as
+/// [`diff_reports`] compares it. Each archive declares its spec next
+/// to its writer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DiffSpec {
+    /// Report name, for the rendered diff (`"sweep"`, `"perf"`).
+    pub name: &'static str,
+    /// The array whose entries are compared.
+    pub array: &'static str,
+    /// Fields whose values, joined by `/`, key an entry.
+    pub key: &'static [&'static str],
+    /// Numeric fields, compared exactly. A field may be absent from
+    /// both sides; absent from one side is drift.
+    pub numbers: &'static [&'static str],
+    /// String fields, compared exactly (an outcome label, say).
+    pub strings: &'static [&'static str],
+}
+
+/// The result of [`diff_reports`]: one [`SectionDrift`] per drifted
+/// entry (section = entry key, cell = 1-based position in
+/// [`DiffSpec::numbers`]), plus keys present on only one side.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReportDiff {
+    /// The spec the reports were compared under.
+    pub spec: DiffSpec,
+    /// Entries compared on both sides.
+    pub compared: usize,
+    /// Numeric values compared.
+    pub values: usize,
+    /// Drifted entries, one section each.
+    pub sections: Vec<SectionDrift>,
+    /// Keys in the old report with no counterpart in the new.
+    pub missing: Vec<String>,
+    /// Keys in the new report with no counterpart in the old.
+    pub added: Vec<String>,
+}
+
+impl ReportDiff {
+    /// Did anything drift (value moved, string changed, entry
+    /// appeared or disappeared)?
+    pub fn has_drift(&self) -> bool {
+        !self.missing.is_empty()
+            || !self.added.is_empty()
+            || self.sections.iter().any(|s| !s.is_clean())
+    }
+
+    /// Renders the human-readable diff.
+    pub fn render(&self) -> String {
+        let DiffSpec {
+            name,
+            array,
+            numbers,
+            ..
+        } = self.spec;
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "{name} diff: {} {array} compared, {} values",
+            self.compared, self.values
+        );
+        for s in &self.sections {
+            let _ = writeln!(out, "  {} DRIFT", s.section);
+            for d in &s.deltas {
+                let _ = writeln!(
+                    out,
+                    "    {}: {} -> {} ({:+.2}%)",
+                    numbers[d.cell - 1],
+                    d.archived,
+                    d.regenerated,
+                    d.rel_delta_pct()
+                );
+            }
+            for m in &s.shape {
+                let _ = writeln!(out, "    {m}");
+            }
+        }
+        for k in &self.missing {
+            let _ = writeln!(out, "  {k} MISSING from the new report");
+        }
+        for k in &self.added {
+            let _ = writeln!(out, "  {k} ADDED in the new report");
+        }
+        if self.has_drift() {
+            let _ = writeln!(out, "{} DRIFT DETECTED", name.to_uppercase());
+        } else {
+            let _ = writeln!(
+                out,
+                "no drift: the {name} reports agree on every tracked value"
+            );
+        }
+        out
+    }
+}
+
+/// Diffs the `spec.array` entries of two parsed reports. Entries pair
+/// by key; numeric fields compare with `==`, string fields by value,
+/// and a field present on one side only is a shape mismatch.
+///
+/// # Errors
+///
+/// [`psi_core::PsiError::Syntax`] when either report lacks the array
+/// or an entry lacks a string key field.
+pub fn diff_reports(old: &Report, new: &Report, spec: &DiffSpec) -> psi_core::Result<ReportDiff> {
+    let old = keyed_entries(old, spec)?;
+    let new = keyed_entries(new, spec)?;
+    let new_by_key: BTreeMap<&str, &JsonObject> =
+        new.iter().map(|(k, e)| (k.as_str(), *e)).collect();
+    let old_keys: BTreeSet<&str> = old.iter().map(|(k, _)| k.as_str()).collect();
+
+    let mut diff = ReportDiff {
+        spec: *spec,
+        compared: 0,
+        values: 0,
+        sections: Vec::new(),
+        missing: Vec::new(),
+        added: Vec::new(),
+    };
+    for (key, o) in &old {
+        let Some(n) = new_by_key.get(key.as_str()) else {
+            diff.missing.push(key.clone());
+            continue;
+        };
+        diff.compared += 1;
+        let mut section = SectionDrift {
+            section: key.clone(),
+            cells: 0,
+            deltas: Vec::new(),
+            shape: Vec::new(),
+        };
+        for field in spec.strings {
+            let a = o.get(field).and_then(JsonValue::as_str);
+            let b = n.get(field).and_then(JsonValue::as_str);
+            if a != b {
+                section.shape.push(format!(
+                    "{field} changed: {} -> {}",
+                    a.unwrap_or("absent"),
+                    b.unwrap_or("absent")
+                ));
+            }
+        }
+        for (i, field) in spec.numbers.iter().enumerate() {
+            let number = |e: &JsonObject| e.get(field).and_then(|v| v.as_f64());
+            match (number(o), number(n)) {
+                (Some(a), Some(b)) => {
+                    diff.values += 1;
+                    section.cells += 1;
+                    if a != b {
+                        section.deltas.push(CellDelta {
+                            line: 1,
+                            cell: i + 1,
+                            archived: a,
+                            regenerated: b,
+                        });
+                    }
+                }
+                (None, None) => {}
+                (a, b) => {
+                    let text =
+                        |v: Option<f64>| v.map_or_else(|| "absent".into(), |v| v.to_string());
+                    section.shape.push(format!(
+                        "{field} present on one side only ({} -> {})",
+                        text(a),
+                        text(b)
+                    ));
+                }
+            }
+        }
+        if !section.is_clean() {
+            diff.sections.push(section);
+        }
+    }
+    for (key, _) in &new {
+        if !old_keys.contains(key.as_str()) {
+            diff.added.push(key.clone());
+        }
+    }
+    Ok(diff)
+}
+
+/// The `spec.array` entries of `report`, each with its joined key.
+fn keyed_entries<'r>(
+    report: &'r Report,
+    spec: &DiffSpec,
+) -> psi_core::Result<Vec<(String, &'r JsonObject)>> {
+    report
+        .array(spec.array)?
+        .iter()
+        .map(|entry| {
+            let key = spec
+                .key
+                .iter()
+                .map(|k| entry.str_field(k))
+                .collect::<psi_core::Result<Vec<_>>>()?;
+            Ok((key.join("/"), entry))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -349,7 +520,7 @@ mod tests {
     #[test]
     fn identical_blocks_are_clean() {
         let block = &archived_blocks(DOC)[0].1;
-        let drift = compare_section("Table 9", block, block, Tolerance::EXACT);
+        let drift = compare_section("Table 9", block, block);
         assert!(drift.is_clean(), "{drift:?}");
         // the header's "9" and "(%)"-free cells: 9, then 1.5 20 0.0 7.
         assert_eq!(drift.cells, 5);
@@ -359,7 +530,7 @@ mod tests {
     fn a_perturbed_cell_is_flagged_with_its_delta() {
         let block = archived_blocks(DOC)[0].1.clone();
         let perturbed = block.replace("1.5", "1.8");
-        let drift = compare_section("Table 9", &perturbed, &block, Tolerance::EXACT);
+        let drift = compare_section("Table 9", &perturbed, &block);
         assert_eq!(drift.deltas.len(), 1);
         let d = &drift.deltas[0];
         assert_eq!((d.line, d.cell), (3, 1));
@@ -391,26 +562,75 @@ mod tests {
     fn textual_and_structural_drift_is_reported_as_shape() {
         let block = archived_blocks(DOC)[0].1.clone();
         let renamed = block.replace("bar", "baz");
-        let drift = compare_section("Table 9", &renamed, &block, Tolerance::EXACT);
+        let drift = compare_section("Table 9", &renamed, &block);
         assert!(drift.deltas.is_empty());
         assert_eq!(drift.shape.len(), 1, "{:?}", drift.shape);
 
         let truncated: String = block.lines().take(3).map(|l| format!("{l}\n")).collect();
-        let drift = compare_section("Table 9", &truncated, &block, Tolerance::EXACT);
+        let drift = compare_section("Table 9", &truncated, &block);
         assert!(!drift.is_clean());
         assert!(drift.shape[0].contains("line count differs"));
     }
 
+    /// The keyed diff pairs entries by a multi-field key and reports
+    /// a moved number, a changed string, a one-sided optional field
+    /// and membership changes.
     #[test]
-    fn tolerance_absorbs_small_drift_only() {
-        let tol = Tolerance {
-            abs: 0.0,
-            rel: 0.01,
+    fn keyed_diff_reports_every_kind_of_drift() {
+        use psi_tools::json::{parse_report, ObjectBuilder, ReportBuilder};
+        const SPEC: DiffSpec = DiffSpec {
+            name: "demo",
+            array: "cells",
+            key: &["program", "lane"],
+            numbers: &["steps", "hit_pct"],
+            strings: &["outcome"],
         };
-        assert!(tol.allows(100.0, 100.9));
-        assert!(!tol.allows(100.0, 101.1));
-        assert!(Tolerance::EXACT.allows(0.0, 0.0));
-        assert!(!Tolerance::EXACT.allows(0.0, f64::EPSILON));
+        let cell = |program: &str, lane: &str, steps: u64, outcome: &str| {
+            ObjectBuilder::new()
+                .str("program", program)
+                .str("lane", lane)
+                .str("outcome", outcome)
+                .u64("steps", steps)
+        };
+        let report = |cells: Vec<ObjectBuilder>| {
+            parse_report(&ReportBuilder::new("demo-v1").array("cells", cells).finish()).unwrap()
+        };
+        let old = report(vec![
+            cell("p", "A", 10, "ok"),
+            cell("p", "C", 10, "ok").f64("hit_pct", 90.5),
+            cell("q", "A", 5, "ok"),
+            cell("r", "A", 1, "ok"),
+        ]);
+        let clean = diff_reports(&old, &old, &SPEC).unwrap();
+        assert!(!clean.has_drift(), "{}", clean.render());
+        assert_eq!((clean.compared, clean.values), (4, 5));
+
+        let new = report(vec![
+            cell("p", "A", 11, "ok"),
+            cell("p", "C", 10, "ok"),
+            cell("q", "A", 5, "failed"),
+            cell("s", "A", 1, "ok"),
+        ]);
+        let diff = diff_reports(&old, &new, &SPEC).unwrap();
+        assert!(diff.has_drift());
+        assert_eq!(diff.missing, ["r/A"]);
+        assert_eq!(diff.added, ["s/A"]);
+        let section = |key: &str| diff.sections.iter().find(|s| s.section == key).unwrap();
+        assert_eq!(section("p/A").deltas[0].regenerated, 11.0);
+        assert!(section("p/C").shape[0].contains("hit_pct present on one side only"));
+        assert!(section("q/A").shape[0].contains("outcome changed: ok -> failed"));
+        let rendered = diff.render();
+        assert!(rendered.contains("steps: 10 -> 11"), "{rendered}");
+        assert!(rendered.contains("DEMO DRIFT DETECTED"), "{rendered}");
+        assert!(diff_reports(
+            &old,
+            &report(vec![]),
+            &DiffSpec {
+                array: "rows",
+                ..SPEC
+            }
+        )
+        .is_err());
     }
 
     /// The acceptance test: perturb one cell of a really regenerated
@@ -420,7 +640,7 @@ mod tests {
         let fresh = figure1_report();
         let perturbed = fresh.replace("8192", "9192");
         assert_ne!(fresh, perturbed, "the capacity column must be present");
-        let drift = compare_section("Figure 1", &perturbed, &fresh, Tolerance::EXACT);
+        let drift = compare_section("Figure 1", &perturbed, &fresh);
         assert!(
             drift
                 .deltas
@@ -428,7 +648,7 @@ mod tests {
                 .any(|d| d.archived == 9192.0 && d.regenerated == 8192.0),
             "{drift:?}"
         );
-        let clean = compare_section("Figure 1", &fresh, &fresh, Tolerance::EXACT);
+        let clean = compare_section("Figure 1", &fresh, &fresh);
         assert!(clean.is_clean());
     }
 

@@ -10,65 +10,52 @@
 //!   dispatch), which must produce bit-identical solutions and step
 //!   totals while running several times faster on the heavy rows.
 //!
-//! Unlike the table regenerators — which report *simulated* PSI time
-//! and are bit-reproducible — this harness also measures host wall
-//! time, which varies run to run. Each workload therefore runs
-//! `warmup` untimed iterations followed by `repetitions` timed ones,
-//! and the report records the median. Simulator statistics (steps,
-//! choice points, backtracks) are deterministic and recorded from the
-//! final iteration.
+//! Every number it records is deterministic — simulated time, steps,
+//! choice points, backtracks, indexing counters and solution counts —
+//! so each cell runs exactly once. Host speed is measured by the
+//! `psi-benchmark` workloads (`solve-fast`, `sim-fidelity`), which
+//! repeat runs and report their spread.
 //!
 //! The report serializes to `BENCH_psi.json` through the shared
 //! report writer ([`psi_tools::json::ReportBuilder`]) and doubles as an
 //! equivalence check: all four cells of a row must produce identical
 //! solution lists, and the two lanes must agree exactly on every
-//! deterministic counter.
+//! deterministic counter. [`PERF_DIFF`] declares the fields the
+//! microstep-regression gate compares against the archive.
 
+use crate::drift::DiffSpec;
 use psi_machine::MachineConfig;
 use psi_obs::Counter;
-use psi_tools::json::{parse_report, ObjectBuilder, ReportBuilder};
+use psi_tools::json::{ObjectBuilder, ReportBuilder};
 use psi_workloads::runner::run_on_psi_machine;
-use psi_workloads::suite::table1_suite;
+use psi_workloads::suite::{row_matches, table1_suite};
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Schema tag of the `BENCH_psi.json` report.
-pub const PERF_SCHEMA: &str = "psi-bench-perf-v5";
+pub const PERF_SCHEMA: &str = "psi-bench-perf-v6";
 
-/// Knobs for one harness run.
-#[derive(Debug, Clone, Copy)]
-pub struct PerfOptions {
-    /// Untimed iterations per workload/profile before measurement.
-    pub warmup: usize,
-    /// Timed iterations per workload/profile (median is reported).
-    pub repetitions: usize,
-}
-
-impl PerfOptions {
-    /// Full run: 1 warmup + 5 timed repetitions.
-    pub fn full() -> PerfOptions {
-        PerfOptions {
-            warmup: 1,
-            repetitions: 5,
-        }
-    }
-
-    /// CI smoke run: no warmup, a single timed repetition. Wall times
-    /// are noisy but the equivalence checks and simulator statistics
-    /// are exactly those of a full run.
-    pub fn quick() -> PerfOptions {
-        PerfOptions {
-            warmup: 0,
-            repetitions: 1,
-        }
-    }
-}
+/// The deterministic fields of a perf report's `cells`, one cell per
+/// (program, lane, profile): the fields `perfbench --check-steps`
+/// compares against the archive.
+pub const PERF_DIFF: DiffSpec = DiffSpec {
+    name: "perf",
+    array: "cells",
+    key: &["program", "lane", "profile"],
+    numbers: &[
+        "sim_ns",
+        "steps",
+        "choice_points",
+        "backtracks",
+        "indexed_calls",
+        "index_direct_entries",
+        "solutions",
+    ],
+    strings: &[],
+};
 
 /// One (profile, lane) cell's measurements for one workload.
 #[derive(Debug, Clone)]
 pub struct ProfileMeasurement {
-    /// Median host wall time over the timed repetitions, nanoseconds.
-    pub wall_ns: u64,
     /// Simulated PSI time, nanoseconds (deterministic; zero stall
     /// contribution in the fast lane).
     pub sim_ns: u64,
@@ -119,17 +106,6 @@ fn cells_equivalent(a: &ProfileMeasurement, b: &ProfileMeasurement) -> bool {
         && a.solutions == b.solutions
 }
 
-/// Wall-time speedup of a fast-lane cell over the fidelity cell.
-/// Zero-guarded: a zero fast-lane wall time (possible on trivial rows
-/// where the median timed iteration is below the clock resolution)
-/// reports 0.0 rather than a nonsense near-infinite ratio.
-fn speedup(fidelity_wall_ns: u64, lane_wall_ns: u64) -> f64 {
-    if lane_wall_ns == 0 {
-        return 0.0;
-    }
-    fidelity_wall_ns as f64 / lane_wall_ns as f64
-}
-
 impl PerfRow {
     /// Whether all four cells produced identical solution lists.
     pub fn solutions_match(&self) -> bool {
@@ -146,20 +122,11 @@ impl PerfRow {
         cells_equivalent(&self.fidelity.linear, &self.compiled.linear)
             && cells_equivalent(&self.fidelity.indexed, &self.compiled.indexed)
     }
-
-    /// Wall-time speedup of the fast lane (lane C) over the
-    /// fidelity lane, linear profile. 0.0 when the compiled cell's
-    /// wall time rounded to zero.
-    pub fn speedup_lane_c(&self) -> f64 {
-        speedup(self.fidelity.linear.wall_ns, self.compiled.linear.wall_ns)
-    }
 }
 
 /// A full harness run over the (possibly filtered) Table 1 suite.
 #[derive(Debug, Clone)]
 pub struct PerfReport {
-    /// The options the run used.
-    pub options: PerfOptions,
     /// One row per selected Table 1 entry, in table order.
     pub rows: Vec<PerfRow>,
 }
@@ -179,13 +146,12 @@ impl PerfReport {
     /// Serializes the report through the shared report writer
     /// ([`ReportBuilder`]).
     ///
-    /// Schema [`PERF_SCHEMA`]: header `warmup` and `repetitions`; a
-    /// `rows` array with one object per program carrying the row
-    /// verdicts (`solutions_match`, `lanes_match`) and the fast lane's
-    /// wall-time speedup `speedup_lane_c`; and a `cells` array with one
-    /// flat object per (program, lane, profile) measurement. Solution
-    /// texts are not embedded (they can be thousands of bindings);
-    /// only their count is.
+    /// Schema [`PERF_SCHEMA`]: a `rows` array with one object per
+    /// program carrying the row verdicts (`solutions_match`,
+    /// `lanes_match`), and a `cells` array with one flat object per
+    /// (program, lane, profile) measurement. Solution texts are not
+    /// embedded (they can be thousands of bindings); only their count
+    /// is.
     pub fn to_json(&self) -> String {
         let rows = self.rows.iter().map(|row| {
             ObjectBuilder::new()
@@ -193,7 +159,6 @@ impl PerfReport {
                 .str("program", &row.program)
                 .bool("solutions_match", row.solutions_match())
                 .bool("lanes_match", row.lanes_match())
-                .f64("speedup_lane_c", (row.speedup_lane_c() * 1e3).round() / 1e3)
         });
         let cells = self.rows.iter().flat_map(|row| {
             [("fidelity", &row.fidelity), ("compiled", &row.compiled)]
@@ -204,7 +169,6 @@ impl PerfReport {
                             .str("program", &row.program)
                             .str("lane", lane)
                             .str("profile", profile)
-                            .u64("wall_ns", m.wall_ns)
                             .u64("sim_ns", m.sim_ns)
                             .u64("steps", m.steps)
                             .u64("choice_points", m.choice_points)
@@ -216,8 +180,6 @@ impl PerfReport {
                 })
         });
         ReportBuilder::new(PERF_SCHEMA)
-            .u64("warmup", self.options.warmup as u64)
-            .u64("repetitions", self.options.repetitions as u64)
             .array("rows", rows)
             .array("cells", cells)
             .finish()
@@ -228,18 +190,16 @@ impl PerfReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:<22} {:>12} {:>10} {:>10} {:>7}  match lanes",
-            "program", "steps lin", "wall fid", "wall cmp", "spd C"
+            "{:<22} {:>12} {:>12}  match lanes",
+            "program", "steps lin", "steps idx"
         );
         for row in &self.rows {
             let _ = writeln!(
                 out,
-                "{:<22} {:>12} {:>8.2}ms {:>8.2}ms {:>6.2}x  {:<5} {}",
+                "{:<22} {:>12} {:>12}  {:<5} {}",
                 row.program,
                 row.fidelity.linear.steps,
-                row.fidelity.linear.wall_ns as f64 / 1e6,
-                row.compiled.linear.wall_ns as f64 / 1e6,
-                row.speedup_lane_c(),
+                row.fidelity.indexed.steps,
                 if row.solutions_match() { "yes" } else { "NO" },
                 if row.lanes_match() { "yes" } else { "NO" },
             );
@@ -248,65 +208,15 @@ impl PerfReport {
     }
 }
 
-/// Does a `--rows` filter token list select `(index, program)`?
-///
-/// The spec is comma-separated; each token is either a 1-based Table 1
-/// row number (`3`) or a case-insensitive substring of the program
-/// name (`lisp`, `qsort`). An empty spec selects nothing.
-pub fn row_matches(spec: &str, index: usize, program: &str) -> bool {
-    let program = program.to_lowercase();
-    spec.split(',')
-        .map(str::trim)
-        .filter(|t| !t.is_empty())
-        .any(|t| match t.parse::<usize>() {
-            Ok(n) => n == index,
-            Err(_) => program.contains(&t.to_lowercase()),
-        })
-}
-
-/// Extracts `(program, fidelity-lane linear steps)` pairs from a
-/// previously written `BENCH_psi.json`, for the microstep-regression
-/// gate.
-///
-/// # Errors
-///
-/// [`psi_core::PsiError::Syntax`] when the document is not a report
-/// with a `cells` array (older layouts nest objects and are rejected)
-/// or a cell lacks its lane, profile, program or steps.
-pub fn archived_steps(json: &str) -> psi_core::Result<Vec<(String, u64)>> {
-    let report = parse_report(json)?;
-    let mut steps = Vec::new();
-    for c in report.array("cells")? {
-        if c.str_field("lane")? == "fidelity" && c.str_field("profile")? == "linear" {
-            steps.push((c.str_field("program")?.to_owned(), c.u64_field("steps")?));
-        }
-    }
-    Ok(steps)
-}
-
 /// Measures one workload under one machine configuration (one
 /// profile/lane cell).
 fn measure(
     w: &psi_workloads::Workload,
-    config: &MachineConfig,
-    options: &PerfOptions,
+    config: MachineConfig,
 ) -> psi_core::Result<ProfileMeasurement> {
-    for _ in 0..options.warmup {
-        run_on_psi_machine(w, config.clone())?;
-    }
-    let mut walls = Vec::with_capacity(options.repetitions.max(1));
-    let mut last = None;
-    for _ in 0..options.repetitions.max(1) {
-        let t0 = Instant::now();
-        let result = run_on_psi_machine(w, config.clone())?;
-        walls.push(t0.elapsed().as_nanos() as u64);
-        last = Some(result);
-    }
-    walls.sort_unstable();
-    let (run, machine) = last.expect("at least one repetition");
+    let (run, machine) = run_on_psi_machine(w, config)?;
     let snap = machine.metrics_snapshot();
     Ok(ProfileMeasurement {
-        wall_ns: walls[walls.len() / 2],
         sim_ns: run.stats.time_ns,
         steps: run.stats.steps,
         choice_points: run.stats.choice_points,
@@ -318,20 +228,17 @@ fn measure(
 }
 
 /// Measures one suite entry across all four (profile, lane) cells.
-fn measure_row(
-    entry: &psi_workloads::suite::Table1Entry,
-    options: &PerfOptions,
-) -> psi_core::Result<PerfRow> {
+fn measure_row(entry: &psi_workloads::suite::Table1Entry) -> psi_core::Result<PerfRow> {
     let w = &entry.workload;
     let fidelity = LaneMeasurements {
-        linear: measure(w, &MachineConfig::psi(), options)?,
-        indexed: measure(w, &MachineConfig::psi_indexed(), options)?,
+        linear: measure(w, MachineConfig::psi())?,
+        indexed: measure(w, MachineConfig::psi_indexed())?,
     };
     let mut compiled_indexed = MachineConfig::psi_compiled();
     compiled_indexed.clause_indexing = true;
     let compiled = LaneMeasurements {
-        linear: measure(w, &MachineConfig::psi_compiled(), options)?,
-        indexed: measure(w, &compiled_indexed, options)?,
+        linear: measure(w, MachineConfig::psi_compiled())?,
+        indexed: measure(w, compiled_indexed)?,
     };
     Ok(PerfRow {
         index: entry.index,
@@ -341,50 +248,43 @@ fn measure_row(
     })
 }
 
-/// Runs the Table 1 suite under both profiles in both lanes.
+/// Runs the Table 1 suite under both profiles in both lanes,
+/// restricted to the rows a `--rows` spec selects
+/// ([`row_matches`]); `None` runs the whole suite.
 ///
 /// # Errors
 ///
 /// Propagates the first workload failure ([`psi_core::PsiError`]);
 /// the suite is expected to be green under every profile/lane cell.
-pub fn run(options: PerfOptions) -> psi_core::Result<PerfReport> {
-    run_rows(options, None)
-}
-
-/// [`run`] restricted to the rows selected by a `--rows` spec (see
-/// [`row_matches`]); `None` runs the whole suite.
-///
-/// # Errors
-///
-/// Propagates the first workload failure ([`psi_core::PsiError`]).
-pub fn run_rows(options: PerfOptions, filter: Option<&str>) -> psi_core::Result<PerfReport> {
-    let mut rows = Vec::new();
-    for entry in table1_suite() {
-        if let Some(spec) = filter {
-            if !row_matches(spec, entry.index, &entry.workload.name) {
-                continue;
-            }
-        }
-        rows.push(measure_row(&entry, &options)?);
-    }
-    Ok(PerfReport { options, rows })
+pub fn run_rows(filter: Option<&str>) -> psi_core::Result<PerfReport> {
+    let rows = table1_suite()
+        .iter()
+        .filter(|e| filter.is_none_or(|spec| row_matches(spec, e.index, &e.workload.name)))
+        .map(measure_row)
+        .collect::<psi_core::Result<_>>()?;
+    Ok(PerfReport { rows })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psi_tools::json::{JsonObject, JsonValue};
+    use crate::drift::diff_reports;
+    use psi_tools::json::{parse_report, JsonObject, JsonValue};
 
     #[test]
     fn json_shape_is_stable() {
         let report = parse_report(&sample_report().to_json()).unwrap();
         assert_eq!(report.header.str_field("schema").unwrap(), PERF_SCHEMA);
+        assert_eq!(
+            report.header.fields().len(),
+            1,
+            "the header is the schema alone"
+        );
         let row = &report.array("rows").unwrap()[0];
         assert_eq!(row.str_field("program").unwrap(), "nreverse 30");
         for verdict in ["solutions_match", "lanes_match"] {
             assert_eq!(row.get(verdict), Some(&JsonValue::Bool(true)));
         }
-        assert_eq!(row.get("speedup_lane_c").unwrap().as_f64(), Some(1.0));
         let cells = report.array("cells").unwrap();
         let cell = |c: &JsonObject| {
             let field = |k| c.str_field(k).unwrap();
@@ -406,18 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn speedup_is_zero_guarded() {
-        let mut row = sample_report().rows.remove(0);
-        row.fidelity.linear.wall_ns = 9000;
-        row.compiled.linear.wall_ns = 1500;
-        assert!((row.speedup_lane_c() - 6.0).abs() < 1e-12);
-        // A sub-resolution fast cell must not explode into a
-        // near-infinite ratio.
-        row.compiled.linear.wall_ns = 0;
-        assert_eq!(row.speedup_lane_c(), 0.0);
-    }
-
-    #[test]
     fn lanes_match_covers_the_compiled_lane() {
         let mut row = sample_report().rows.remove(0);
         assert!(row.lanes_match());
@@ -429,26 +317,23 @@ mod tests {
     }
 
     #[test]
-    fn row_filter_matches_by_index_and_name() {
-        assert!(row_matches("3", 3, "qsort 50"));
-        assert!(!row_matches("3", 4, "qsort 50"));
-        assert!(row_matches("LISP", 7, "lisp tarai3"));
-        assert!(row_matches("1, lisp", 7, "lisp tarai3"));
-        assert!(row_matches(" qsort ,9", 9, "nreverse 30"));
-        assert!(!row_matches("", 1, "nreverse 30"));
-        assert!(!row_matches(" , ", 1, "nreverse 30"));
-    }
-
-    #[test]
-    fn archived_steps_reads_own_v5_output_only() {
+    fn perf_diff_compares_every_deterministic_field_of_every_cell() {
+        let json = sample_report().to_json();
+        let archived = parse_report(&json).unwrap();
+        let clean = diff_reports(&archived, &archived, &PERF_DIFF).unwrap();
+        assert!(!clean.has_drift(), "{}", clean.render());
+        assert_eq!((clean.compared, clean.values), (4, 4 * 7));
         let mut report = sample_report();
-        report.rows[0].compiled.linear.steps = 99;
-        report.rows[0].fidelity.indexed.steps = 17;
-        let pairs = archived_steps(&report.to_json()).unwrap();
-        assert_eq!(pairs, vec![("nreverse 30".to_owned(), 30)]);
-        // The v4 layout nested one object per lane.
-        let v4 = r#"{"schema": "psi-bench-perf-v4", "rows": [{"fidelity": {"linear": {}}}]}"#;
-        assert!(archived_steps(v4).is_err());
+        report.rows[0].compiled.indexed.backtracks += 1;
+        let drifted = parse_report(&report.to_json()).unwrap();
+        let diff = diff_reports(&archived, &drifted, &PERF_DIFF).unwrap();
+        assert!(diff.has_drift());
+        assert_eq!(diff.sections[0].section, "nreverse 30/compiled/indexed");
+        assert!(
+            diff.render().contains("backtracks: 4 -> 5"),
+            "{}",
+            diff.render()
+        );
     }
 
     fn sample_report() -> PerfReport {
@@ -457,7 +342,6 @@ mod tests {
             indexed: sample_measurement(10),
         };
         PerfReport {
-            options: PerfOptions::quick(),
             rows: vec![PerfRow {
                 index: 1,
                 program: "nreverse 30".into(),
@@ -469,7 +353,6 @@ mod tests {
 
     fn sample_measurement(cp: u64) -> ProfileMeasurement {
         ProfileMeasurement {
-            wall_ns: 1000,
             sim_ns: 2000,
             steps: 30,
             choice_points: cp,

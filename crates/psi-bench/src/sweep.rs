@@ -31,17 +31,18 @@
 //! cell is contained per item ([`par_map_catch`]), so one exhausted,
 //! failing or panicking cell degrades exactly one cell of the report.
 //!
-//! The [`diff_reports`] pass closes the loop drift-style: two sweep
-//! reports are compared per cell and per deterministic field (wall
-//! times are explicitly untracked — they measure the host), and the
+//! The shared keyed diff ([`crate::drift::diff_reports`] under
+//! [`SWEEP_DIFF`]) closes the loop drift-style: two sweep reports are
+//! compared per cell and per deterministic field (wall times are
+//! explicitly untracked — they measure the host), and the
 //! `sweepbench diff` subcommand exits nonzero on unexplained drift.
 
-use crate::drift::{CellDelta, SectionDrift, Tolerance};
+use crate::drift::DiffSpec;
 use psi_cache::{CacheConfig, WritePolicy};
 use psi_core::{Measurement, PsiError, Resource};
 use psi_machine::{Machine, MachineConfig};
 use psi_mem::TraceEntry;
-use psi_tools::json::{parse_object, parse_report, JsonObject, ObjectBuilder, ReportBuilder};
+use psi_tools::json::{parse_object, JsonObject, ObjectBuilder, ReportBuilder};
 use psi_tools::pmms;
 use psi_tools::quantile::percentile;
 use psi_workloads::runner::{default_parallelism, par_map_catch};
@@ -343,8 +344,7 @@ impl Default for SweepOptions {
 // ------------------------------------------------------------------
 
 /// One completed cell. Every field except `wall_ns` and `engine` is
-/// deterministic — [`diff_reports`] compares exactly the
-/// deterministic ones.
+/// deterministic — [`SWEEP_DIFF`] names the ones the diff compares.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellResult {
     /// Content-addressed cell key ([`cell_key`]).
@@ -500,6 +500,24 @@ impl ModeComparison {
     }
 }
 
+/// The deterministic fields of a sweep report's `cells`, keyed by the
+/// content-addressed cell key. Wall times (`wall_ns`) and the
+/// producing engine are deliberately untracked — they measure the
+/// host and the run strategy, not the simulator.
+pub const SWEEP_DIFF: DiffSpec = DiffSpec {
+    name: "sweep",
+    array: "cells",
+    key: &["key"],
+    numbers: &[
+        "steps",
+        "time_ns",
+        "solutions",
+        "hit_pct",
+        "improvement_pct",
+    ],
+    strings: &["outcome"],
+};
+
 /// A full sweep run: the sharded cell results in grid order plus the
 /// bookkeeping the report serializes.
 #[derive(Debug, Clone)]
@@ -554,7 +572,7 @@ impl SweepReport {
     /// Serializes the report (schema `psi-sweep-v1`) through the
     /// shared report writer ([`ReportBuilder`]): scalar header fields,
     /// then the `planes` and `cells` arrays, one flat object per line
-    /// ([`parse_report_cells`] reads the cells back).
+    /// (compared under [`SWEEP_DIFF`]).
     pub fn to_json(&self) -> String {
         let mut r = ReportBuilder::new("psi-sweep-v1")
             .str("grid", &self.grid)
@@ -1028,208 +1046,17 @@ pub fn run_sweep(spec: &SweepSpec, options: &SweepOptions) -> SweepReport {
     }
 }
 
-// ------------------------------------------------------------------
-// report parsing and diffing
-// ------------------------------------------------------------------
-
-/// Extracts the per-cell objects from a `BENCH_sweep.json` document
-/// through the shared report reader ([`parse_report`]).
-///
-/// # Errors
-///
-/// [`PsiError::Syntax`] when the document is not a report or has no
-/// `cells` array, or a cell lacks a field.
-pub fn parse_report_cells(json: &str) -> psi_core::Result<Vec<CellResult>> {
-    let malformed = |obj: &JsonObject| PsiError::Syntax {
-        line: 0,
-        column: 0,
-        detail: format!("malformed sweep cell: {obj:?}"),
-    };
-    parse_report(json)?
-        .array("cells")?
-        .iter()
-        .map(|obj| CellResult::from_object(obj).ok_or_else(|| malformed(obj)))
-        .collect()
-}
-
-/// The result of diffing two sweep reports, built from the same
-/// cell-diff machinery as the EXPERIMENTS.md drift pass: one
-/// [`SectionDrift`] per drifted cell (section = cell key, cell index
-/// = position in [`DIFFED_FIELDS`]), plus keys present on only one
-/// side.
-#[derive(Debug, Clone)]
-pub struct SweepDiff {
-    /// Cells compared on both sides.
-    pub compared: usize,
-    /// Numeric values compared.
-    pub values: usize,
-    /// Drifted cells, one section each.
-    pub sections: Vec<SectionDrift>,
-    /// Keys in the old report with no counterpart in the new.
-    pub missing: Vec<String>,
-    /// Keys in the new report with no counterpart in the old.
-    pub added: Vec<String>,
-}
-
-/// The deterministic numeric fields [`diff_reports`] compares, in
-/// fixed order. Wall times (`wall_ns`) and the producing engine are
-/// deliberately untracked — they measure the host and the run
-/// strategy, not the simulator.
-pub const DIFFED_FIELDS: [&str; 5] = [
-    "steps",
-    "time_ns",
-    "solutions",
-    "hit_pct",
-    "improvement_pct",
-];
-
-impl SweepDiff {
-    /// Did anything drift (value moved, outcome changed, cell
-    /// appeared or disappeared)?
-    pub fn has_drift(&self) -> bool {
-        !self.missing.is_empty()
-            || !self.added.is_empty()
-            || self.sections.iter().any(|s| !s.is_clean())
-    }
-
-    /// Renders the human-readable diff.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "sweep diff: {} cells compared, {} values",
-            self.compared, self.values
-        );
-        for s in &self.sections {
-            let _ = writeln!(out, "  cell {} DRIFT", s.section);
-            for d in &s.deltas {
-                let field = DIFFED_FIELDS
-                    .get(d.cell.saturating_sub(1))
-                    .copied()
-                    .unwrap_or("?");
-                let _ = writeln!(
-                    out,
-                    "    {field}: {} -> {} ({:+.2}%)",
-                    d.archived,
-                    d.regenerated,
-                    d.rel_delta_pct()
-                );
-            }
-            for m in &s.shape {
-                let _ = writeln!(out, "    {m}");
-            }
-        }
-        for k in &self.missing {
-            let _ = writeln!(out, "  cell {k} MISSING from the new report");
-        }
-        for k in &self.added {
-            let _ = writeln!(out, "  cell {k} ADDED in the new report");
-        }
-        if self.has_drift() {
-            let _ = writeln!(out, "SWEEP DRIFT DETECTED");
-        } else {
-            let _ = writeln!(out, "no drift: the sweeps agree on every tracked value");
-        }
-        out
-    }
-}
-
-fn numeric_field(cell: &CellResult, field: &str) -> Option<f64> {
-    match field {
-        "steps" => Some(cell.steps as f64),
-        "time_ns" => Some(cell.time_ns as f64),
-        "solutions" => Some(cell.solutions as f64),
-        "hit_pct" => cell.hit_pct,
-        "improvement_pct" => cell.improvement_pct,
-        _ => None,
-    }
-}
-
-/// Diffs two parsed sweeps cell by cell under `tolerance`
-/// ([`Tolerance::EXACT`] by default usage — the simulator is
-/// deterministic). Cells pair by key; outcome changes and
-/// present-on-one-side optional fields report as shape mismatches,
-/// numeric movements as [`CellDelta`]s.
-pub fn diff_cells(old: &[CellResult], new: &[CellResult], tolerance: Tolerance) -> SweepDiff {
-    use std::collections::BTreeMap;
-    let new_by_key: BTreeMap<&str, &CellResult> = new.iter().map(|c| (c.key.as_str(), c)).collect();
-    let old_keys: std::collections::BTreeSet<&str> = old.iter().map(|c| c.key.as_str()).collect();
-
-    let mut diff = SweepDiff {
-        compared: 0,
-        values: 0,
-        sections: Vec::new(),
-        missing: Vec::new(),
-        added: Vec::new(),
-    };
-    for o in old {
-        let Some(n) = new_by_key.get(o.key.as_str()) else {
-            diff.missing.push(o.key.clone());
-            continue;
-        };
-        diff.compared += 1;
-        let mut section = SectionDrift {
-            section: o.key.clone(),
-            cells: 0,
-            deltas: Vec::new(),
-            shape: Vec::new(),
-        };
-        if o.outcome != n.outcome {
-            section
-                .shape
-                .push(format!("outcome changed: {} -> {}", o.outcome, n.outcome));
-        }
-        for (fi, field) in DIFFED_FIELDS.iter().enumerate() {
-            match (numeric_field(o, field), numeric_field(n, field)) {
-                (Some(a), Some(b)) => {
-                    diff.values += 1;
-                    section.cells += 1;
-                    if !tolerance.allows(a, b) {
-                        section.deltas.push(CellDelta {
-                            line: 1,
-                            cell: fi + 1,
-                            archived: a,
-                            regenerated: b,
-                        });
-                    }
-                }
-                (None, None) => {}
-                (a, b) => section.shape.push(format!(
-                    "{field} present on one side only ({} -> {})",
-                    a.map_or_else(|| "absent".into(), |v| v.to_string()),
-                    b.map_or_else(|| "absent".into(), |v| v.to_string()),
-                )),
-            }
-        }
-        if !section.is_clean() {
-            diff.sections.push(section);
-        }
-    }
-    for n in new {
-        if !old_keys.contains(n.key.as_str()) {
-            diff.added.push(n.key.clone());
-        }
-    }
-    diff
-}
-
-/// Parses and diffs two serialized sweep reports.
-///
-/// # Errors
-///
-/// [`PsiError::Syntax`] when either report has a malformed cell line.
-pub fn diff_reports(old: &str, new: &str, tolerance: Tolerance) -> psi_core::Result<SweepDiff> {
-    Ok(diff_cells(
-        &parse_report_cells(old)?,
-        &parse_report_cells(new)?,
-        tolerance,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::drift::{diff_reports, ReportDiff};
+    use psi_tools::json::parse_report;
     use psi_workloads::contest;
+
+    fn diff(old: &SweepReport, new: &SweepReport) -> ReportDiff {
+        let parse = |r: &SweepReport| parse_report(&r.to_json()).unwrap();
+        diff_reports(&parse(old), &parse(new), &SWEEP_DIFF).unwrap()
+    }
 
     fn tiny_spec() -> SweepSpec {
         let (geometries, invalid) = GeometryAxis {
@@ -1301,7 +1128,7 @@ mod tests {
             },
         );
         for other in [&replay, &fresh] {
-            let diff = diff_cells(&fork.cells, &other.cells, Tolerance::EXACT);
+            let diff = diff(&fork, other);
             assert!(
                 !diff.has_drift(),
                 "modes must agree bit-for-bit:\n{}",
@@ -1330,7 +1157,11 @@ mod tests {
         union.dedup_by(|a, b| a.key == b.key);
         assert_eq!(union.len(), full.cells.len(), "shards must not overlap");
         let shard_cells: Vec<CellResult> = s0.cells.iter().chain(&s1.cells).cloned().collect();
-        let diff = diff_cells(&full.cells, &shard_cells, Tolerance::EXACT);
+        let merged = SweepReport {
+            cells: shard_cells,
+            ..full.clone()
+        };
+        let diff = diff(&full, &merged);
         assert!(!diff.has_drift(), "{}", diff.render());
     }
 
@@ -1353,9 +1184,9 @@ mod tests {
         let report = run_sweep(&spec, &SweepOptions::default());
         let json = report.to_json();
         assert!(json.starts_with("{\n  \"schema\": \"psi-sweep-v1\""));
-        let cells = parse_report_cells(&json).unwrap();
-        assert_eq!(cells.len(), report.cells.len());
-        let diff = diff_reports(&json, &json, Tolerance::EXACT).unwrap();
+        let parsed = parse_report(&json).unwrap();
+        assert_eq!(parsed.array("cells").unwrap().len(), report.cells.len());
+        let diff = diff_reports(&parsed, &parsed, &SWEEP_DIFF).unwrap();
         assert_eq!(diff.compared, report.cells.len());
         assert!(!diff.has_drift());
     }
@@ -1368,7 +1199,11 @@ mod tests {
         tampered[0].steps += 7;
         tampered[1].outcome = "failed".into();
         let dropped = tampered.pop().unwrap();
-        let diff = diff_cells(&report.cells, &tampered, Tolerance::EXACT);
+        let tampered = SweepReport {
+            cells: tampered,
+            ..report.clone()
+        };
+        let diff = diff(&report, &tampered);
         assert!(diff.has_drift());
         assert_eq!(diff.missing, vec![dropped.key.clone()]);
         assert!(diff

@@ -1,7 +1,10 @@
 //! The committed `BENCH_*.json` archives all parse with the shared
-//! report reader (`psi_tools::json::parse_report`) and hold the shape
-//! their writers promise.
+//! report reader (`psi_tools::json::parse_report`), hold the shape
+//! their writers promise, carry no host wall-time field where the
+//! schema is all deterministic, and diff clean against themselves
+//! through the shared keyed diff.
 
+use psi_bench::drift::{diff_reports, DiffSpec, ReportDiff};
 use psi_tools::json::{parse_report, JsonObject, Report};
 use std::collections::BTreeMap;
 
@@ -12,6 +15,37 @@ fn read(name: &str) -> String {
 
 fn archive(name: &str) -> Report {
     parse_report(&read(name)).unwrap_or_else(|e| panic!("{name}: {e}"))
+}
+
+/// Host wall-time fields the perf-v6 and server-v3 schemas dropped.
+const WALL_FIELDS: [&str; 10] = [
+    "wall_ns",
+    "speedup_lane_c",
+    "warmup",
+    "repetitions",
+    "quick",
+    "wall_s",
+    "throughput_qps",
+    "p50_us",
+    "p99_us",
+    "mean_us",
+];
+
+fn assert_no_wall_fields(report: &Report) {
+    let objects = std::iter::once(&report.header)
+        .chain(report.arrays.iter().flat_map(|(_, entries)| entries));
+    for obj in objects {
+        for (key, _) in obj.fields() {
+            assert!(!WALL_FIELDS.contains(&key.as_str()), "wall field `{key}`");
+        }
+    }
+}
+
+/// Diffs an archive against itself under `spec`, which must be clean.
+fn self_diff(report: &Report, spec: &DiffSpec) -> ReportDiff {
+    let diff = diff_reports(report, report, spec).unwrap();
+    assert!(!diff.has_drift(), "{}", diff.render());
+    diff
 }
 
 fn str_of<'a>(obj: &'a JsonObject, key: &str) -> &'a str {
@@ -49,8 +83,10 @@ fn perf_archive_has_four_cells_per_program() {
             "{program}"
         );
     }
-    let steps = psi_bench::perf::archived_steps(&read("BENCH_psi.json")).unwrap();
-    assert_eq!(steps.len(), 19);
+    assert_no_wall_fields(&report);
+    // 19 programs × 4 cells × 7 deterministic fields.
+    let diff = self_diff(&report, &psi_bench::perf::PERF_DIFF);
+    assert_eq!((diff.compared, diff.values), (76, 532));
 }
 
 #[test]
@@ -75,8 +111,15 @@ fn corpus_archive_is_500_ok_on_four_cells() {
 #[test]
 fn server_archive_has_nineteen_rows() {
     let report = archive("BENCH_server.json");
-    assert_eq!(str_of(&report.header, "schema"), "psi-bench-server-v2");
-    assert_eq!(report.array("rows").unwrap().len(), 19);
+    assert_eq!(str_of(&report.header, "schema"), "psi-bench-server-v3");
+    let rows = report.array("rows").unwrap();
+    assert_eq!(rows.len(), 19);
+    for row in rows {
+        for key in ["queries", "solutions", "steps"] {
+            row.u64_field(key).unwrap();
+        }
+    }
+    assert_no_wall_fields(&report);
     for key in ["verified", "isolation_ok"] {
         assert_eq!(report.header.get(key).and_then(|v| v.as_bool()), Some(true));
     }
@@ -87,6 +130,7 @@ fn sweep_archive_has_584_cells() {
     let report = archive("BENCH_sweep.json");
     assert_eq!(str_of(&report.header, "schema"), "psi-sweep-v1");
     assert_eq!(report.header.u64_field("cells_total").unwrap(), 584);
-    let cells = psi_bench::sweep::parse_report_cells(&read("BENCH_sweep.json")).unwrap();
-    assert_eq!(cells.len(), 584);
+    assert_eq!(report.array("cells").unwrap().len(), 584);
+    let diff = self_diff(&report, &psi_bench::sweep::SWEEP_DIFF);
+    assert_eq!(diff.compared, 584);
 }

@@ -4,9 +4,12 @@
 //! unsharded grid, and the `sweepbench` binary's end-to-end contract
 //! holds — sweep twice, `diff` exits 0; tamper, `diff` exits nonzero.
 
-use psi_bench::drift::Tolerance;
-use psi_bench::sweep::{diff_cells, run_sweep, ConfigPoint, GeometryAxis, SweepOptions, SweepSpec};
+use psi_bench::drift::{diff_reports, ReportDiff};
+use psi_bench::sweep::{
+    run_sweep, ConfigPoint, GeometryAxis, SweepOptions, SweepReport, SweepSpec, SWEEP_DIFF,
+};
 use psi_cache::WritePolicy;
+use psi_tools::json::parse_report;
 use psi_workloads::contest;
 use std::path::PathBuf;
 use std::process::Command;
@@ -27,6 +30,12 @@ fn spec() -> SweepSpec {
         configs: vec![ConfigPoint::fidelity("A-linear", false)],
         geometries,
     }
+}
+
+/// The shared keyed diff of two in-memory sweeps.
+fn diff(old: &SweepReport, new: &SweepReport) -> ReportDiff {
+    let parse = |r: &SweepReport| parse_report(&r.to_json()).unwrap();
+    diff_reports(&parse(old), &parse(new), &SWEEP_DIFF).unwrap()
 }
 
 /// A unique scratch directory per test (removed on success; left for
@@ -109,7 +118,7 @@ fn killed_sweep_resumes_byte_identically() {
     // And the finished grid equals a clean, never-killed in-memory
     // run on every tracked field.
     let clean = run_sweep(&spec, &SweepOptions::default());
-    let diff = diff_cells(&clean.cells, &resumed.cells, Tolerance::EXACT);
+    let diff = diff(&clean, &resumed);
     assert!(!diff.has_drift(), "{}", diff.render());
     // Wall times of resumed cells are the *original* measurements,
     // preserved verbatim from the first run's files.
@@ -160,7 +169,7 @@ fn shards_union_to_the_full_grid_on_disk() {
     assert_eq!(merged.resumed, total);
     assert_eq!(merged.computed, 0);
     let clean = run_sweep(&spec, &SweepOptions::default());
-    let diff = diff_cells(&clean.cells, &merged.cells, Tolerance::EXACT);
+    let diff = diff(&clean, &merged);
     assert!(!diff.has_drift(), "{}", diff.render());
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -198,7 +207,7 @@ fn corrupt_cell_files_are_recomputed() {
     assert_eq!(again.computed, 2, "exactly the two damaged cells recompute");
     assert_eq!(again.resumed, first.cells.len() - 2);
     assert!(again.all_ok(), "{}", again.render());
-    let diff = diff_cells(&first.cells, &again.cells, Tolerance::EXACT);
+    let diff = diff(&first, &again);
     assert!(!diff.has_drift(), "{}", diff.render());
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -10,23 +10,23 @@
 //! — concurrency must be bit-invisible.
 //!
 //! Usage: `cargo run --release -p psi-server --bin load-driver --
-//! [--quick] [--sessions N] [--passes M] [--rows FILTER] [--out PATH]`
+//! [--sessions N] [--passes M] [--rows FILTER] [--out PATH]`
 //!
-//! `--quick` is the CI smoke mode: one pass per session.
-//! `--rows` selects a subset exactly like perfbench (1-based row
-//! numbers or name substrings, comma-separated); a subset is a spot
-//! check and never overwrites the archived report. Writes
-//! `BENCH_server.json` at the repository root by default. Exits
-//! nonzero on any verification or isolation failure.
+//! `--rows` selects a subset exactly like perfbench
+//! ([`psi_workloads::suite::row_matches`]: 1-based row numbers or
+//! name substrings, comma-separated); a subset is a spot check and
+//! never overwrites the archived report. Writes `BENCH_server.json`
+//! at the repository root by default: per-row query, solution and
+//! step counts and the two verdicts, all deterministic. Latency and
+//! throughput are measured by psi-benchmark's `serve` workload.
+//! Exits nonzero on any verification or isolation failure.
 
 use psi_server::{Client, ClientError, LimitsPatch, Server, ServerOptions};
 use psi_tools::json::{ObjectBuilder, ReportBuilder};
-use psi_tools::quantile::percentile;
-use psi_workloads::suite::{table1_suite, Table1Entry};
+use psi_workloads::suite::{row_matches, table1_suite};
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Instant;
 
 struct Expected {
     name: String,
@@ -40,23 +40,17 @@ struct Expected {
 #[derive(Default)]
 struct RowStats {
     queries: u64,
-    latencies_ns: Vec<u64>,
     mismatches: u64,
 }
 
 fn main() -> ExitCode {
     let mut sessions: usize = 8;
     let mut passes: usize = 3;
-    let mut quick = false;
     let mut rows_filter: Option<String> = None;
     let mut out_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--quick" => {
-                quick = true;
-                passes = 1;
-            }
             "--sessions" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(n) if n > 0 => sessions = n,
                 _ => return usage("--sessions requires a positive integer"),
@@ -89,7 +83,14 @@ fn main() -> ExitCode {
         }
     }
 
-    let suite = select_rows(table1_suite(), rows_filter.as_deref());
+    let suite: Vec<_> = table1_suite()
+        .into_iter()
+        .filter(|e| {
+            rows_filter
+                .as_deref()
+                .is_none_or(|spec| row_matches(spec, e.index, &e.workload.name))
+        })
+        .collect();
     if suite.is_empty() {
         eprintln!(
             "load-driver: --rows `{}` matched no Table 1 programs",
@@ -153,7 +154,6 @@ fn main() -> ExitCode {
         expected.len()
     );
 
-    let started = Instant::now();
     let mut workers = Vec::new();
     for session_id in 0..sessions {
         let expected = Arc::clone(&expected);
@@ -171,7 +171,6 @@ fn main() -> ExitCode {
                 for (row, got) in per_row.iter_mut().zip(session_rows) {
                     row.queries += got.queries;
                     row.mismatches += got.mismatches;
-                    row.latencies_ns.extend(got.latencies_ns);
                 }
             }
             Ok(Err(e)) => {
@@ -195,27 +194,14 @@ fn main() -> ExitCode {
             false
         }
     };
-    let wall = started.elapsed();
     let warm_hits = server.pool().idle_count();
     server.shutdown();
 
     let total_queries: u64 = per_row.iter().map(|r| r.queries).sum();
     let total_mismatches: u64 = per_row.iter().map(|r| r.mismatches).sum();
     let verified = total_mismatches == 0 && transport_errors == 0;
-    let throughput = total_queries as f64 / wall.as_secs_f64();
 
-    let all: Vec<u64> = per_row
-        .iter()
-        .flat_map(|r| r.latencies_ns.iter().copied())
-        .collect();
-    println!(
-        "{total_queries} queries over {sessions} sessions in {:.2}s ({throughput:.1} q/s), \
-         p50 {:.2} ms, p99 {:.2} ms, {} machines left warm",
-        wall.as_secs_f64(),
-        percentile(&all, 0.50) as f64 / 1e6,
-        percentile(&all, 0.99) as f64 / 1e6,
-        warm_hits,
-    );
+    println!("{total_queries} queries over {sessions} sessions, {warm_hits} machines left warm");
     println!(
         "verification: {}, isolation probe: {}",
         if verified {
@@ -227,23 +213,16 @@ fn main() -> ExitCode {
     );
 
     let rows = expected.iter().zip(&per_row).map(|(e, row)| {
-        let mean = row.latencies_ns.iter().sum::<u64>() / (row.latencies_ns.len() as u64).max(1);
         ObjectBuilder::new()
             .str("program", &e.name)
             .u64("queries", row.queries)
             .u64("solutions", e.bindings.len() as u64)
             .u64("steps", e.steps)
-            .u64("p50_us", percentile(&row.latencies_ns, 0.50) / 1_000)
-            .u64("p99_us", percentile(&row.latencies_ns, 0.99) / 1_000)
-            .u64("mean_us", mean / 1_000)
     });
-    let json = ReportBuilder::new("psi-bench-server-v2")
-        .bool("quick", quick)
+    let json = ReportBuilder::new("psi-bench-server-v3")
         .u64("sessions", sessions as u64)
         .u64("passes", passes as u64)
         .u64("total_queries", total_queries)
-        .f64("wall_s", (wall.as_secs_f64() * 1e3).round() / 1e3)
-        .f64("throughput_qps", (throughput * 1e2).round() / 1e2)
         .bool("verified", verified)
         .bool("isolation_ok", isolation_ok)
         .array("rows", rows)
@@ -278,16 +257,12 @@ fn run_session(
         for offset in 0..expected.len() {
             let index = (session_id + offset) % expected.len();
             let e = &expected[index];
-            let t0 = Instant::now();
             let mut client = Client::connect(addr)?;
             client.consult(&e.source)?;
             let reply = client.solve(&e.goal, e.max)?;
             client.close()?;
-            let latency = t0.elapsed();
             let row = &mut rows[index];
             row.queries += 1;
-            row.latencies_ns
-                .push(u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX));
             if reply.bindings != e.bindings || reply.steps != e.steps {
                 eprintln!(
                     "load-driver: `{}` diverged under load: {} solutions / {} steps, \
@@ -340,30 +315,8 @@ fn isolation_probe(addr: SocketAddr) -> Result<(), String> {
     client.close().map_err(|e| e.to_string())
 }
 
-fn select_rows(suite: Vec<Table1Entry>, filter: Option<&str>) -> Vec<Table1Entry> {
-    let Some(filter) = filter else { return suite };
-    let tokens: Vec<String> = filter
-        .split(',')
-        .map(|t| t.trim().to_ascii_lowercase())
-        .filter(|t| !t.is_empty())
-        .collect();
-    suite
-        .into_iter()
-        .filter(|entry| {
-            tokens.iter().any(|t| {
-                t.parse::<usize>()
-                    .map(|n| n == entry.index)
-                    .unwrap_or(false)
-                    || entry.workload.name.to_ascii_lowercase().contains(t)
-            })
-        })
-        .collect()
-}
-
 fn usage(msg: &str) -> ExitCode {
     eprintln!("load-driver: {msg}");
-    eprintln!(
-        "usage: load-driver [--quick] [--sessions N] [--passes M] [--rows FILTER] [--out PATH]"
-    );
+    eprintln!("usage: load-driver [--sessions N] [--passes M] [--rows FILTER] [--out PATH]");
     ExitCode::FAILURE
 }

@@ -15,10 +15,10 @@
 //!   the process);
 //! * [`server`] — the thread-per-connection TCP front end;
 //! * [`client`] — a small blocking client for tests and the
-//!   `load-driver` benchmark.
+//!   `load-driver` binary.
 //!
 //! Binaries: `psi-server` (stand-alone server) and `load-driver`
-//! (concurrent-load benchmark writing `BENCH_server.json`; see
+//! (concurrent-load verification writing `BENCH_server.json`; see
 //! PROTOCOL.md and ARCHITECTURE.md §Serving).
 //!
 //! Every failure mode on the wire is a typed error line: engine

@@ -1,5 +1,5 @@
-//! Latency/wall-time percentile estimation, shared by the serving
-//! benchmarks (`psi-server`'s load driver) and the sweep engine's
+//! Latency/wall-time percentile estimation, shared by the benchmark
+//! (`psi-benchmark`'s workload timings) and the sweep engine's
 //! per-cell wall-time summaries (`psi-bench`).
 //!
 //! One shared, documented estimator instead of ad-hoc helpers in each

@@ -63,6 +63,22 @@ pub fn table1_suite() -> Vec<Table1Entry> {
         .collect()
 }
 
+/// Does a `--rows` filter spec select Table 1 row `(index, program)`?
+///
+/// The spec is comma-separated; each token is either a 1-based Table 1
+/// row number (`3`) or a case-insensitive substring of the program
+/// name (`lisp`, `qsort`). An empty spec selects nothing.
+pub fn row_matches(spec: &str, index: usize, program: &str) -> bool {
+    let program = program.to_lowercase();
+    spec.split(',')
+        .map(str::trim)
+        .filter(|t| !t.is_empty())
+        .any(|t| match t.parse::<usize>() {
+            Ok(n) => n == index,
+            Err(_) => program.contains(&t.to_lowercase()),
+        })
+}
+
 /// The seven programs of the hardware evaluation (Tables 3–5 rows).
 pub fn hardware_suite() -> Vec<Workload> {
     vec![
@@ -216,5 +232,16 @@ mod tests {
             let sum: f64 = row.iter().sum();
             assert!((sum - 100.0).abs() < 0.5, "{name}: {sum}");
         }
+    }
+
+    #[test]
+    fn row_filter_matches_by_index_and_name() {
+        assert!(row_matches("3", 3, "qsort 50"));
+        assert!(!row_matches("3", 4, "qsort 50"));
+        assert!(row_matches("LISP", 7, "lisp tarai3"));
+        assert!(row_matches("1, lisp", 7, "lisp tarai3"));
+        assert!(row_matches(" qsort ,9", 9, "nreverse 30"));
+        assert!(!row_matches("", 1, "nreverse 30"));
+        assert!(!row_matches(" , ", 1, "nreverse 30"));
     }
 }
