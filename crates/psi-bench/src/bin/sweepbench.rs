@@ -10,9 +10,8 @@
 //!
 //! or: `sweepbench diff OLD.json NEW.json` — compare two sweep
 //! reports cell by cell on the deterministic fields (outcome, steps,
-//! simulated time, solutions, hit ratio, improvement ratio; wall
-//! times are untracked) through the shared keyed diff, and exit
-//! nonzero on drift.
+//! simulated time, solutions, hit ratio, improvement ratio) through
+//! the shared keyed diff, and exit nonzero on drift.
 //!
 //! The default grid is ~600 cells: six capacities × {1,2} ways ×
 //! {4,8}-word blocks × both write policies on the fidelity lane, with
@@ -29,9 +28,8 @@
 //! after N computed cells (testing aid: simulates a killed run).
 //!
 //! `--compare-fresh` runs the same grid a second time in `fresh` mode
-//! (per-cell re-parse and re-consult — the pre-engine behaviour),
-//! verifies both runs agree bit-for-bit on every deterministic field,
-//! and archives the wall-time comparison in the report.
+//! (per-cell re-parse and re-consult — the pre-engine behaviour) and
+//! verifies both runs agree bit-for-bit on every deterministic field.
 //!
 //! Exits nonzero if any cell's outcome is not ok, if the
 //! `--compare-fresh` cross-check drifts, or on a malformed
@@ -39,14 +37,12 @@
 
 use psi_bench::drift::diff_reports;
 use psi_bench::sweep::{
-    run_sweep, ConfigPoint, GeometryAxis, Lane, ModeComparison, SweepMode, SweepOptions, SweepSpec,
-    SWEEP_DIFF,
+    run_sweep, ConfigPoint, GeometryAxis, Lane, SweepMode, SweepOptions, SweepSpec, SWEEP_DIFF,
 };
 use psi_cache::WritePolicy;
 use psi_tools::json::parse_report;
 use psi_workloads::{contest, parsers, window};
 use std::process::ExitCode;
-use std::time::Instant;
 
 /// The default grid: Figure 1's capacity axis extended with
 /// associativity, block size and write policy, crossed with the three
@@ -267,45 +263,20 @@ fn main() -> ExitCode {
         options.mode.label(),
         options.threads,
     );
-    let mut report = run_sweep(&spec, &options);
+    let report = run_sweep(&spec, &options);
 
     if compare_fresh {
-        // Engine-vs-baseline timing: interleaved passes (engine,
-        // fresh, engine, fresh), minimum wall per mode. Interleaving
-        // cancels warm-up drift — a single engine-then-fresh sequence
-        // hands the second run a warm process and biases the
-        // comparison against the engine — and the minimum is the
-        // standard noise-robust statistic for a deterministic
-        // workload. Timing passes never touch the cell directory
-        // (resume would let the engine skip its own work).
-        eprintln!(
-            "sweepbench: timing {} vs fresh (2 interleaved passes each)",
-            options.mode.label()
-        );
-        let timed = |mode: SweepMode| -> (u64, psi_bench::sweep::SweepReport) {
-            let opts = SweepOptions {
-                mode,
+        // The per-cell re-consult baseline must agree with the engine
+        // bit-for-bit on every deterministic field. It never touches
+        // the cell directory (resume would let it skip its own work).
+        let fresh = run_sweep(
+            &spec,
+            &SweepOptions {
+                mode: SweepMode::Fresh,
                 cell_dir: None,
                 ..options.clone()
-            };
-            let t = Instant::now();
-            let r = run_sweep(&spec, &opts);
-            (t.elapsed().as_nanos() as u64, r)
-        };
-        let mut engine_wall_ns = u64::MAX;
-        let mut fresh_wall_ns = u64::MAX;
-        let mut fresh_report = None;
-        for _ in 0..2 {
-            let (w, _) = timed(options.mode);
-            engine_wall_ns = engine_wall_ns.min(w);
-            let (w, fresh) = timed(SweepMode::Fresh);
-            fresh_wall_ns = fresh_wall_ns.min(w);
-            fresh_report.get_or_insert(fresh);
-        }
-        // The baseline must also agree bit-for-bit on every
-        // deterministic field — the speed comparison is only valid
-        // between runs that compute the same thing.
-        let fresh = fresh_report.expect("two passes ran");
+            },
+        );
         let parse = |r: &psi_bench::sweep::SweepReport| {
             parse_report(&r.to_json()).expect("a sweep report parses back")
         };
@@ -319,10 +290,6 @@ fn main() -> ExitCode {
             );
             return ExitCode::FAILURE;
         }
-        report.comparison = Some(ModeComparison {
-            engine_wall_ns,
-            fresh_wall_ns,
-        });
     }
 
     print!("{}", report.render());

@@ -33,8 +33,7 @@
 //!
 //! The shared keyed diff ([`crate::drift::diff_reports`] under
 //! [`SWEEP_DIFF`]) closes the loop drift-style: two sweep reports are
-//! compared per cell and per deterministic field (wall times are
-//! explicitly untracked — they measure the host), and the
+//! compared per cell and per deterministic field, and the
 //! `sweepbench diff` subcommand exits nonzero on unexplained drift.
 
 use crate::drift::DiffSpec;
@@ -44,14 +43,12 @@ use psi_machine::{Machine, MachineConfig};
 use psi_mem::TraceEntry;
 use psi_tools::json::{parse_object, JsonObject, ObjectBuilder, ReportBuilder};
 use psi_tools::pmms;
-use psi_tools::quantile::percentile;
 use psi_workloads::runner::{default_parallelism, par_map_catch};
 use psi_workloads::Workload;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-use std::time::Instant;
 
 // ------------------------------------------------------------------
 // grid specification
@@ -343,8 +340,8 @@ impl Default for SweepOptions {
 // results
 // ------------------------------------------------------------------
 
-/// One completed cell. Every field except `wall_ns` and `engine` is
-/// deterministic — [`SWEEP_DIFF`] names the ones the diff compares.
+/// One completed cell. Every field except `engine` is deterministic —
+/// [`SWEEP_DIFF`] names the ones the diff compares.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellResult {
     /// Content-addressed cell key ([`cell_key`]).
@@ -382,8 +379,6 @@ pub struct CellResult {
     pub hit_pct: Option<f64>,
     /// Figure 1 improvement ratio (%); `None` off the fidelity lane.
     pub improvement_pct: Option<f64>,
-    /// Host wall time of the cell, nanoseconds (untracked by diff).
-    pub wall_ns: u64,
     /// How the cell was produced: fork / replay / fresh.
     pub engine: String,
 }
@@ -423,7 +418,7 @@ impl CellResult {
         if let Some(i) = self.improvement_pct {
             b = b.f64("improvement_pct", i);
         }
-        b.u64("wall_ns", self.wall_ns).str("engine", &self.engine)
+        b.str("engine", &self.engine)
     }
 
     /// Parses a cell back from its JSON line; `None` when the line is
@@ -457,7 +452,6 @@ impl CellResult {
             solutions: obj.u64_field("solutions").ok()?,
             hit_pct: opt_f64("hit_pct"),
             improvement_pct: opt_f64("improvement_pct"),
-            wall_ns: obj.u64_field("wall_ns").ok()?,
             engine: obj.str_field("engine").ok()?.to_owned(),
         })
     }
@@ -480,30 +474,12 @@ pub struct PlaneSummary {
     pub steps: u64,
 }
 
-/// Timing comparison between the engine's templated path and the
-/// per-cell re-consult baseline over the same grid.
-#[derive(Debug, Clone, Copy)]
-pub struct ModeComparison {
-    /// Wall time of the primary (fork or replay) run, nanoseconds.
-    pub engine_wall_ns: u64,
-    /// Wall time of the fresh re-consult run, nanoseconds.
-    pub fresh_wall_ns: u64,
-}
-
-impl ModeComparison {
-    /// Fresh-over-engine wall-time ratio (zero-guarded).
-    pub fn speedup(&self) -> f64 {
-        if self.engine_wall_ns == 0 {
-            return 0.0;
-        }
-        self.fresh_wall_ns as f64 / self.engine_wall_ns as f64
-    }
-}
+/// Schema tag of the `BENCH_sweep.json` report.
+pub const SWEEP_SCHEMA: &str = "psi-sweep-v2";
 
 /// The deterministic fields of a sweep report's `cells`, keyed by the
-/// content-addressed cell key. Wall times (`wall_ns`) and the
-/// producing engine are deliberately untracked — they measure the
-/// host and the run strategy, not the simulator.
+/// content-addressed cell key. The producing engine is deliberately
+/// untracked — it names the run strategy, not a simulated number.
 pub const SWEEP_DIFF: DiffSpec = DiffSpec {
     name: "sweep",
     array: "cells",
@@ -545,10 +521,6 @@ pub struct SweepReport {
     pub unrun: usize,
     /// Per-plane summaries.
     pub planes: Vec<PlaneSummary>,
-    /// Total wall time of the run, nanoseconds.
-    pub wall_ns_total: u64,
-    /// Optional fork-vs-fresh comparison (the `--compare-fresh` run).
-    pub comparison: Option<ModeComparison>,
 }
 
 impl SweepReport {
@@ -562,19 +534,12 @@ impl SweepReport {
         self.unrun == 0 && self.outcome_count("ok") == self.cells.len()
     }
 
-    /// Type-7 percentile of per-cell wall times, via the shared
-    /// [`psi_tools::quantile`] estimator.
-    pub fn wall_percentile(&self, q: f64) -> u64 {
-        let walls: Vec<u64> = self.cells.iter().map(|c| c.wall_ns).collect();
-        percentile(&walls, q)
-    }
-
-    /// Serializes the report (schema `psi-sweep-v1`) through the
+    /// Serializes the report (schema [`SWEEP_SCHEMA`]) through the
     /// shared report writer ([`ReportBuilder`]): scalar header fields,
     /// then the `planes` and `cells` arrays, one flat object per line
     /// (compared under [`SWEEP_DIFF`]).
     pub fn to_json(&self) -> String {
-        let mut r = ReportBuilder::new("psi-sweep-v1")
+        let mut r = ReportBuilder::new(SWEEP_SCHEMA)
             .str("grid", &self.grid)
             .str("mode", &self.mode);
         if let Some((i, n)) = self.shard {
@@ -595,16 +560,6 @@ impl SweepReport {
             .u64("unrun", self.unrun as u64);
         for label in ["ok", "exhausted", "timed_out", "failed", "panicked"] {
             r = r.u64(label, self.outcome_count(label) as u64);
-        }
-        r = r.u64("wall_ns_total", self.wall_ns_total);
-        for (name, q) in [("p50", 0.50), ("p90", 0.90), ("p99", 0.99)] {
-            r = r.u64(&format!("cell_wall_{name}_ns"), self.wall_percentile(q));
-        }
-        if let Some(c) = &self.comparison {
-            r = r
-                .u64("engine_wall_ns", c.engine_wall_ns)
-                .u64("fresh_wall_ns", c.fresh_wall_ns)
-                .f64("fresh_over_engine", (c.speedup() * 1e3).round() / 1e3);
         }
         let planes = self.planes.iter().map(|p| {
             ObjectBuilder::new()
@@ -655,24 +610,6 @@ impl SweepReport {
                 out,
                 "  {} fast-lane cells collapsed onto the stock geometry (lane C never drives the cache)",
                 self.collapsed_fast_lane_cells
-            );
-        }
-        let _ = writeln!(
-            out,
-            "  wall {:.1} ms total; per-cell p50 {:.2} ms, p90 {:.2} ms, p99 {:.2} ms",
-            self.wall_ns_total as f64 / 1e6,
-            self.wall_percentile(0.50) as f64 / 1e6,
-            self.wall_percentile(0.90) as f64 / 1e6,
-            self.wall_percentile(0.99) as f64 / 1e6,
-        );
-        if let Some(c) = &self.comparison {
-            let _ = writeln!(
-                out,
-                "  engine ({}) {:.1} ms vs per-cell re-consult {:.1} ms — {:.2}x",
-                self.mode,
-                c.engine_wall_ns as f64 / 1e6,
-                c.fresh_wall_ns as f64 / 1e6,
-                c.speedup(),
             );
         }
         out
@@ -747,7 +684,6 @@ fn blank_cell(task: &CellTask, spec: &SweepSpec, engine: &str) -> CellResult {
         solutions: 0,
         hit_pct: None,
         improvement_pct: None,
-        wall_ns: 0,
         engine: engine.to_owned(),
     }
 }
@@ -779,7 +715,6 @@ fn fill_from_machine(cell: &mut CellResult, m: &Machine, solutions: usize, confi
 /// executed in parallel with work stealing; each cell is
 /// fault-isolated, so one bad cell degrades one cell.
 pub fn run_sweep(spec: &SweepSpec, options: &SweepOptions) -> SweepReport {
-    let t0 = Instant::now();
     let psi_geometry = CacheConfig::psi();
 
     // --- expand the grid ------------------------------------------
@@ -894,7 +829,6 @@ pub fn run_sweep(spec: &SweepSpec, options: &SweepOptions) -> SweepReport {
             computed.fetch_add(1, Ordering::Relaxed);
         }
 
-        let cell_t0 = Instant::now();
         let ctx = plane_ctx[task.plane].get_or_init(|| build_plane(task.plane));
         let config = &spec.configs[task.config];
         let workload = &spec.workloads[task.workload];
@@ -969,7 +903,6 @@ pub fn run_sweep(spec: &SweepSpec, options: &SweepOptions) -> SweepReport {
                 }
             }
         }
-        cell.wall_ns = cell_t0.elapsed().as_nanos() as u64;
 
         if let Some(dir) = &options.cell_dir {
             // Atomic-ish publish: a killed run leaves either nothing
@@ -1041,8 +974,6 @@ pub fn run_sweep(spec: &SweepSpec, options: &SweepOptions) -> SweepReport {
         resumed: resumed.load(Ordering::Relaxed),
         unrun,
         planes: plane_summaries,
-        wall_ns_total: t0.elapsed().as_nanos() as u64,
-        comparison: None,
     }
 }
 
@@ -1183,7 +1114,7 @@ mod tests {
         let spec = tiny_spec();
         let report = run_sweep(&spec, &SweepOptions::default());
         let json = report.to_json();
-        assert!(json.starts_with("{\n  \"schema\": \"psi-sweep-v1\""));
+        assert!(json.starts_with(&format!("{{\n  \"schema\": \"{SWEEP_SCHEMA}\"")));
         let parsed = parse_report(&json).unwrap();
         assert_eq!(parsed.array("cells").unwrap().len(), report.cells.len());
         let diff = diff_reports(&parsed, &parsed, &SWEEP_DIFF).unwrap();

@@ -17,8 +17,9 @@ fn archive(name: &str) -> Report {
     parse_report(&read(name)).unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
-/// Host wall-time fields the perf-v6 and server-v3 schemas dropped.
-const WALL_FIELDS: [&str; 10] = [
+/// Host wall-time fields the perf-v6, server-v3 and sweep-v2 schemas
+/// dropped.
+const WALL_FIELDS: [&str; 17] = [
     "wall_ns",
     "speedup_lane_c",
     "warmup",
@@ -29,6 +30,13 @@ const WALL_FIELDS: [&str; 10] = [
     "p50_us",
     "p99_us",
     "mean_us",
+    "wall_ns_total",
+    "cell_wall_p50_ns",
+    "cell_wall_p90_ns",
+    "cell_wall_p99_ns",
+    "engine_wall_ns",
+    "fresh_wall_ns",
+    "fresh_over_engine",
 ];
 
 fn assert_no_wall_fields(report: &Report) {
@@ -128,9 +136,15 @@ fn server_archive_has_nineteen_rows() {
 #[test]
 fn sweep_archive_has_584_cells() {
     let report = archive("BENCH_sweep.json");
-    assert_eq!(str_of(&report.header, "schema"), "psi-sweep-v1");
+    assert_eq!(
+        str_of(&report.header, "schema"),
+        psi_bench::sweep::SWEEP_SCHEMA
+    );
     assert_eq!(report.header.u64_field("cells_total").unwrap(), 584);
     assert_eq!(report.array("cells").unwrap().len(), 584);
+    assert_no_wall_fields(&report);
+    // 584 cells × 5 numeric fields, less the hit and improvement
+    // ratios the 8 fast-lane cells do not carry.
     let diff = self_diff(&report, &psi_bench::sweep::SWEEP_DIFF);
-    assert_eq!(diff.compared, 584);
+    assert_eq!((diff.compared, diff.values), (584, 2904));
 }

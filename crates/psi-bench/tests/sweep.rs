@@ -120,15 +120,6 @@ fn killed_sweep_resumes_byte_identically() {
     let clean = run_sweep(&spec, &SweepOptions::default());
     let diff = diff(&clean, &resumed);
     assert!(!diff.has_drift(), "{}", diff.render());
-    // Wall times of resumed cells are the *original* measurements,
-    // preserved verbatim from the first run's files.
-    for cell in &resumed.cells {
-        assert!(
-            cell.wall_ns > 0,
-            "{}: wall_ns must survive the resume",
-            cell.key
-        );
-    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }

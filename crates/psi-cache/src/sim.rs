@@ -33,16 +33,6 @@ impl CacheCommand {
             CacheCommand::WriteStack => 2,
         }
     }
-
-    /// Decodes a [`CacheCommand::code`]; `None` for unknown codes.
-    pub fn from_code(code: u32) -> Option<CacheCommand> {
-        match code {
-            0 => Some(CacheCommand::Read),
-            1 => Some(CacheCommand::Write),
-            2 => Some(CacheCommand::WriteStack),
-            _ => None,
-        }
-    }
 }
 
 /// The result of one cache access.
@@ -69,6 +59,12 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
+    /// `log2(block_words)`: address to block number.
+    block_shift: u32,
+    /// `sets - 1`: block number to set index.
+    set_mask: u32,
+    /// `log2(sets)`: block number to tag.
+    set_shift: u32,
     lines: Vec<Line>,
     stats: CacheStats,
     stamp: u64,
@@ -89,8 +85,14 @@ impl Cache {
     pub fn new(config: CacheConfig) -> Cache {
         config.assert_valid();
         let lines = vec![Line::default(); config.blocks() as usize];
+        // Both are powers of two (checked above), so a shift and a
+        // mask index exactly as `/` and `%` would.
+        let sets = config.sets();
         Cache {
             config,
+            block_shift: config.block_words.trailing_zeros(),
+            set_mask: sets - 1,
+            set_shift: sets.trailing_zeros(),
             lines,
             stats: CacheStats::new(),
             stamp: 0,
@@ -126,10 +128,7 @@ impl Cache {
     /// stalled the processor beyond the 200 ns cycle.
     pub fn access(&mut self, cmd: CacheCommand, addr: Address) -> AccessOutcome {
         self.stamp += 1;
-        let block_addr = addr.raw() / self.config.block_words;
-        let sets = self.config.sets();
-        let set = (block_addr % sets) as usize;
-        let tag = block_addr / sets;
+        let (set, tag) = self.set_and_tag(addr);
         let ways = self.config.ways as usize;
         let base = set * ways;
 
@@ -190,21 +189,12 @@ impl Cache {
         }
     }
 
-    /// Runs a whole trace through the cache, advancing the clock by
-    /// `step_ns` of computation between successive accesses, and
-    /// returns the total simulated time (computation + stalls).
-    pub fn run_trace<'a, I>(&mut self, trace: I, step_ns: u64) -> u64
-    where
-        I: IntoIterator<Item = &'a (CacheCommand, Address)>,
-    {
-        let mut total = 0u64;
-        for &(cmd, addr) in trace {
-            self.advance(step_ns);
-            total += step_ns;
-            let outcome = self.access(cmd, addr);
-            total += outcome.stall_ns;
-        }
-        total
+    /// The set index and tag of `addr`: its block number modulo and
+    /// divided by the set count.
+    #[inline]
+    fn set_and_tag(&self, addr: Address) -> (usize, u32) {
+        let block = addr.raw() >> self.block_shift;
+        ((block & self.set_mask) as usize, block >> self.set_shift)
     }
 
     fn touch(&mut self, idx: usize) {
@@ -495,12 +485,21 @@ mod tests {
         assert!(c.stats().hit_ratio_pct().unwrap() > 50.0);
     }
 
+    /// Replays `trace` with `step_ns` of computation before each
+    /// access, as PMMS does; returns computation plus stall time.
+    fn replay(c: &mut Cache, trace: impl IntoIterator<Item = Address>, step_ns: u64) -> u64 {
+        let mut total = 0;
+        for a in trace {
+            c.advance(step_ns);
+            total += step_ns + c.access(CacheCommand::Read, a).stall_ns;
+        }
+        total
+    }
+
     #[test]
-    fn run_trace_accumulates_time() {
-        let trace: Vec<(CacheCommand, Address)> =
-            (0..10).map(|i| (CacheCommand::Read, addr(i * 4))).collect();
+    fn replay_accumulates_time() {
         let mut c = tiny();
-        let time = c.run_trace(&trace, 200);
+        let time = replay(&mut c, (0..10).map(|i| addr(i * 4)), 200);
         // 10 steps of 200 ns + 10 cold misses of 600 ns each... but the
         // tiny cache holds only 8 blocks (4 sets x 2 ways) so all
         // 10 are misses: at least 2000 + 6000.
@@ -511,16 +510,62 @@ mod tests {
     #[test]
     fn larger_cache_never_hits_less_sequential() {
         // On a sequential read sweep, a bigger cache can only do better.
-        let sweep: Vec<(CacheCommand, Address)> = (0..2048)
-            .map(|i| (CacheCommand::Read, addr(i % 512)))
-            .collect();
         let mut hits_prev = 0;
         for cap in [32u32, 128, 512, 2048] {
             let mut c = Cache::new(CacheConfig::psi_with_capacity(cap));
-            c.run_trace(&sweep, 200);
+            replay(&mut c, (0..2048).map(|i| addr(i % 512)), 200);
             let hits = c.stats().total().hits();
             assert!(hits >= hits_prev, "cap {cap}: {hits} < {hits_prev}");
             hits_prev = hits;
+        }
+    }
+
+    /// The shift-and-mask index equals the `/` and `%` formula for
+    /// every geometry the repository builds: the Figure 1 capacities,
+    /// sweepbench's default geometry axis and the §4.2 study points,
+    /// on addresses that set every process, area and offset bit.
+    #[test]
+    fn shift_and_mask_index_matches_division() {
+        let mut configs: Vec<CacheConfig> = (0..11)
+            .map(|i| CacheConfig::psi_with_capacity(8 << i))
+            .collect();
+        for capacity_words in [32, 64, 256, 1024, 4096, 8192] {
+            for ways in [1, 2] {
+                for block_words in [4, 8] {
+                    configs.push(CacheConfig {
+                        capacity_words,
+                        ways,
+                        block_words,
+                        ..CacheConfig::psi()
+                    });
+                }
+            }
+        }
+        configs.push(CacheConfig::psi_direct_mapped_4k());
+        configs.push(CacheConfig::psi_store_through());
+
+        let max_offset = (1 << 27) - 1;
+        let mut offsets = vec![0, 1, 3, 4, 7, 8, 4095, 4096, 8191, 8192];
+        offsets.extend((0..27).map(|b| 1 << b));
+        offsets.extend((1..=27).map(|b| max_offset >> (27 - b)));
+        offsets.extend([max_offset - 1, max_offset, 0x555_5555, 0x2AA_AAAA]);
+        for config in configs {
+            let cache = Cache::new(config);
+            let sets = config.sets();
+            for p in 0..4 {
+                for area in Area::ALL {
+                    for &offset in &offsets {
+                        let a = Address::new(ProcessId::new(p), area, offset);
+                        let block = a.raw() / config.block_words;
+                        assert_eq!(
+                            cache.set_and_tag(a),
+                            ((block % sets) as usize, block / sets),
+                            "{config:?} at {:#x}",
+                            a.raw()
+                        );
+                    }
+                }
+            }
         }
     }
 }

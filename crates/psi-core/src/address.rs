@@ -2,9 +2,8 @@
 //!
 //! The PSI allocates its four stacks and the heap to *independent
 //! logical address spaces* called areas (§2.1). A logical address is
-//! therefore (process, area, offset); the memory unit translates it to
-//! a physical location through a hardware translation table
-//! (modelled in `psi-mem`).
+//! therefore (process, area, offset); the cache indexes on its raw
+//! encoding and `psi-mem` stores words per (process, area).
 
 use std::fmt;
 

@@ -1,7 +1,7 @@
 //! The memory unit: storage behind a cache, with stall accounting and
 //! optional tracing.
 
-use crate::{AddressTranslation, Memory};
+use crate::Memory;
 use psi_cache::{Cache, CacheCommand, CacheConfig, CacheStats};
 use psi_core::{Address, Measurement, ObsEvent, Result, Word};
 use psi_obs::EventRing;
@@ -48,20 +48,18 @@ enum Attachment {
 /// any counted access):
 ///
 /// * [`Measurement::Full`] (default) — every counted access drives
-///   address translation, the cache-occupancy model (stall
-///   accounting), the optional address trace and the optional event
-///   ring.
+///   the cache-occupancy model (stall accounting), the optional
+///   address trace and the optional event ring.
 /// * [`Measurement::Off`] — counted accesses take a straight-line
 ///   fast route: storage read/write only. [`MemBus::tick`] still
 ///   counts microsteps but lets no simulated memory traffic drain.
 ///   Each access pays a single always-predicted lane branch instead
-///   of the measured route's branch tree (translation, trace
-///   `Option`, attachment match, event `Option`).
+///   of the measured route's branch tree (trace `Option`,
+///   attachment match, event `Option`).
 #[derive(Debug, Clone)]
 pub struct MemBus {
     mem: Memory,
     attachment: Attachment,
-    translation: AddressTranslation,
     stall_ns: u64,
     step: u64,
     /// Lane flag: `true` in the fidelity lane. Hoisted out of the
@@ -85,7 +83,6 @@ impl MemBus {
         MemBus {
             mem: Memory::new(),
             attachment: Attachment::Cached(Box::new(Cache::new(config))),
-            translation: AddressTranslation::new(),
             stall_ns: 0,
             step: 0,
             measured: true,
@@ -105,7 +102,6 @@ impl MemBus {
                 stats: Box::new(CacheStats::new()),
                 miss_extra_ns: config.miss_extra_ns(),
             },
-            translation: AddressTranslation::new(),
             stall_ns: 0,
             step: 0,
             measured: true,
@@ -304,15 +300,7 @@ impl MemBus {
         &mut self.mem
     }
 
-    /// The address translation table.
-    pub fn translation_mut(&mut self) -> &mut AddressTranslation {
-        &mut self.translation
-    }
-
     fn access(&mut self, cmd: CacheCommand, addr: Address) {
-        // Keep the translation table warm; the paper's machine
-        // translated every access in hardware.
-        self.translation.translate(addr);
         if let Some(t) = &mut self.trace {
             t.push(TraceEntry {
                 step: self.step,

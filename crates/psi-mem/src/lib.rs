@@ -1,12 +1,10 @@
 //! Simulated PSI memory subsystem.
 //!
 //! The PSI gives each process's four stacks and the shared heap
-//! *independent logical address spaces* ("areas", §2.1) and maps them
-//! onto physical memory through a hardware address translation table.
-//! This crate models:
+//! *independent logical address spaces* ("areas", §2.1). This crate
+//! models:
 //!
 //! * [`Memory`] — word storage for every (process, area) pair,
-//! * [`AddressTranslation`] — the page-grained translation table,
 //! * [`MemBus`] — the memory unit the interpreter talks to: every
 //!   access goes through the attached [`Cache`](psi_cache::Cache)
 //!   (or a bypass path when simulating the cache-less machine for the
@@ -31,8 +29,6 @@
 
 mod bus;
 mod storage;
-mod translate;
 
 pub use bus::{MemBus, TraceEntry};
 pub use storage::Memory;
-pub use translate::{AddressTranslation, PAGE_WORDS};

@@ -14,9 +14,8 @@
 //!   cache configurations to obtain hit ratios and performance
 //!   improvement ratios (Table 5, Figure 1, and the §4.2
 //!   associativity and write-policy studies);
-//! * [`quantile`] — the shared type-7 percentile estimator used by
-//!   the serving load driver and the sweep engine's per-cell
-//!   wall-time summaries.
+//! * [`quantile`] — the type-7 percentile estimator behind
+//!   `psi-benchmark`'s workload timings.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,6 +1,5 @@
-//! Latency/wall-time percentile estimation, shared by the benchmark
-//! (`psi-benchmark`'s workload timings) and the sweep engine's
-//! per-cell wall-time summaries (`psi-bench`).
+//! Latency/wall-time percentile estimation for the benchmark
+//! (`psi-benchmark`'s workload timings).
 //!
 //! One shared, documented estimator instead of ad-hoc helpers in each
 //! binary. The original `load-driver` implementation used
