@@ -8,14 +8,18 @@
 //! `BENCH_corpus.json` at the repository root.
 //!
 //! Usage: `cargo run --release -p psi-bench --bin corpusbench --
-//! [--quick] [--seed N] [--count N] [--out PATH]`.
+//! [--seed N] [--count N] [--out PATH]`.
 //!
-//! `--quick` shrinks the per-program size caps (CI smoke mode); the
-//! corpus still spans every family and the default 500 programs.
+//! or: `corpusbench diff OLD.json NEW.json` — compare two corpus
+//! reports cell by cell (programs ok, total steps) through the shared
+//! keyed diff, and exit nonzero on drift. CI runs the full corpus and
+//! diffs it against the committed archive.
 //!
 //! Exits nonzero if any program fails to run, diverges from its
 //! oracle, or differs between cells.
 
+use psi_bench::corpus::{CORPUS_DIFF, CORPUS_SCHEMA};
+use psi_bench::drift::diff_command;
 use psi_machine::MachineConfig;
 use psi_tools::json::{ObjectBuilder, ReportBuilder};
 use psi_workloads::corpus::{generate, CorpusProgram, CorpusSpec};
@@ -68,12 +72,14 @@ fn run_cell(name: &str, base: MachineConfig, indexed: bool, workloads: &[Workloa
 fn main() -> ExitCode {
     let mut seed = PINNED_SEED;
     let mut count = DEFAULT_COUNT;
-    let mut quick = false;
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().map(String::as_str) == Some("diff") {
+        return diff_command("corpusbench", &args[1..], &CORPUS_DIFF);
+    }
     let mut out_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--quick" => quick = true,
             "--seed" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(v) => seed = v,
                 None => {
@@ -97,7 +103,10 @@ fn main() -> ExitCode {
             },
             other => {
                 eprintln!("corpusbench: unknown argument `{other}`");
-                eprintln!("usage: corpusbench [--quick] [--seed N] [--count N] [--out PATH]");
+                eprintln!(
+                    "usage: corpusbench [--seed N] [--count N] [--out PATH]\n\
+                     \u{20}      corpusbench diff OLD.json NEW.json"
+                );
                 return ExitCode::FAILURE;
             }
         }
@@ -105,18 +114,9 @@ fn main() -> ExitCode {
     let out_path = out_path
         .unwrap_or_else(|| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_corpus.json").into());
 
-    let spec = if quick {
-        CorpusSpec::quick(seed, count)
-    } else {
-        CorpusSpec::new(seed, count)
-    };
-    let corpus: Vec<CorpusProgram> = generate(&spec);
+    let corpus: Vec<CorpusProgram> = generate(&CorpusSpec::new(seed, count));
     let workloads: Vec<Workload> = corpus.iter().map(|p| p.workload.clone()).collect();
-    println!(
-        "corpusbench: {} programs, seed {seed:#x}{}",
-        corpus.len(),
-        if quick { " (quick caps)" } else { "" }
-    );
+    println!("corpusbench: {} programs, seed {seed:#x}", corpus.len());
 
     let cells = [
         ("fidelity/linear", MachineConfig::psi(), false),
@@ -192,10 +192,9 @@ fn main() -> ExitCode {
         .iter()
         .take(20)
         .map(|m| ObjectBuilder::new().str("detail", m));
-    let json = ReportBuilder::new("psi-bench-corpus-v3")
+    let json = ReportBuilder::new(CORPUS_SCHEMA)
         .u64("seed", seed)
         .u64("count", corpus.len() as u64)
-        .bool("quick", quick)
         .u64("mismatches", mismatches.len() as u64)
         .array("families", families)
         .array("cells", cells)

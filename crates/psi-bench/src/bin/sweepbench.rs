@@ -35,7 +35,7 @@
 //! `--compare-fresh` cross-check drifts, or on a malformed
 //! invocation.
 
-use psi_bench::drift::diff_reports;
+use psi_bench::drift::{diff_command, diff_reports};
 use psi_bench::sweep::{
     run_sweep, ConfigPoint, GeometryAxis, Lane, SweepMode, SweepOptions, SweepSpec, SWEEP_DIFF,
 };
@@ -125,35 +125,6 @@ fn quick_spec() -> SweepSpec {
     }
 }
 
-fn run_diff(old_path: &str, new_path: &str) -> ExitCode {
-    let read = |p: &str| match std::fs::read_to_string(p) {
-        Ok(s) => Some(s),
-        Err(e) => {
-            eprintln!("sweepbench diff: cannot read `{p}`: {e}");
-            None
-        }
-    };
-    let (Some(old), Some(new)) = (read(old_path), read(new_path)) else {
-        return ExitCode::FAILURE;
-    };
-    let diff =
-        parse_report(&old).and_then(|old| diff_reports(&old, &parse_report(&new)?, &SWEEP_DIFF));
-    match diff {
-        Ok(diff) => {
-            print!("{}", diff.render());
-            if diff.has_drift() {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        Err(e) => {
-            eprintln!("sweepbench diff: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn parse_shard(spec: &str) -> Option<(usize, usize)> {
     let (i, n) = spec.split_once('/')?;
     let (i, n) = (i.parse().ok()?, n.parse().ok()?);
@@ -166,11 +137,7 @@ fn parse_shard(spec: &str) -> Option<(usize, usize)> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("diff") {
-        if args.len() != 3 {
-            eprintln!("usage: sweepbench diff OLD.json NEW.json");
-            return ExitCode::FAILURE;
-        }
-        return run_diff(&args[1], &args[2]);
+        return diff_command("sweepbench", &args[1..], &SWEEP_DIFF);
     }
 
     let mut quick = false;

@@ -29,9 +29,10 @@ use crate::{
     ablation_report, figure1_report, table1_report, table2_report, table3_report, table4_report,
     table5_report, table6_report, table7_report,
 };
-use psi_tools::json::{JsonObject, JsonValue, Report};
+use psi_tools::json::{parse_report, JsonObject, JsonValue, Report};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
+use std::process::ExitCode;
 
 /// A report generator paired with its archive key.
 pub type TrackedSection = (&'static str, fn() -> String);
@@ -480,6 +481,38 @@ pub fn diff_reports(old: &Report, new: &Report, spec: &DiffSpec) -> psi_core::Re
         }
     }
     Ok(diff)
+}
+
+/// The `TOOL diff OLD.json NEW.json` subcommand of the archive
+/// writers (`sweepbench`, `corpusbench`): reads and parses both
+/// reports, prints their [`diff_reports`] under `spec`, and fails on
+/// drift, on a file it cannot read or parse, or on a malformed
+/// invocation.
+pub fn diff_command(tool: &str, args: &[String], spec: &DiffSpec) -> ExitCode {
+    let [old_path, new_path] = args else {
+        eprintln!("usage: {tool} diff OLD.json NEW.json");
+        return ExitCode::FAILURE;
+    };
+    let read = |p: &String| -> Result<Report, String> {
+        let text = std::fs::read_to_string(p).map_err(|e| format!("cannot read `{p}`: {e}"))?;
+        parse_report(&text).map_err(|e| format!("`{p}`: {e}"))
+    };
+    let diff = read(old_path)
+        .and_then(|old| diff_reports(&old, &read(new_path)?, spec).map_err(|e| e.to_string()));
+    match diff {
+        Ok(diff) => {
+            print!("{}", diff.render());
+            if diff.has_drift() {
+                ExitCode::FAILURE
+            } else {
+                ExitCode::SUCCESS
+            }
+        }
+        Err(e) => {
+            eprintln!("{tool} diff: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 /// The `spec.array` entries of `report`, each with its joined key.

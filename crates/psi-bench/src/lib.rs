@@ -22,6 +22,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod corpus;
 pub mod drift;
 pub mod perf;
 pub mod sweep;

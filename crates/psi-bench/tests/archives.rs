@@ -18,7 +18,7 @@ fn archive(name: &str) -> Report {
 }
 
 /// Host wall-time fields the perf-v6, server-v3 and sweep-v2 schemas
-/// dropped.
+/// dropped, and the run-size flag (`quick`) corpus-v4 dropped.
 const WALL_FIELDS: [&str; 17] = [
     "wall_ns",
     "speedup_lane_c",
@@ -100,7 +100,10 @@ fn perf_archive_has_four_cells_per_program() {
 #[test]
 fn corpus_archive_is_500_ok_on_four_cells() {
     let report = archive("BENCH_corpus.json");
-    assert_eq!(str_of(&report.header, "schema"), "psi-bench-corpus-v3");
+    assert_eq!(
+        str_of(&report.header, "schema"),
+        psi_bench::corpus::CORPUS_SCHEMA
+    );
     assert_eq!(report.header.u64_field("count").unwrap(), 500);
     assert_eq!(report.header.u64_field("mismatches").unwrap(), 0);
     let cells = report.array("cells").unwrap();
@@ -114,6 +117,54 @@ fn corpus_archive_is_500_ok_on_four_cells() {
         .sum();
     assert_eq!(programs, 500);
     assert!(report.array("mismatch_detail").unwrap().is_empty());
+    assert_no_wall_fields(&report);
+    // 4 cells × 2 deterministic fields.
+    let diff = self_diff(&report, &psi_bench::corpus::CORPUS_DIFF);
+    assert_eq!((diff.compared, diff.values), (4, 8));
+}
+
+/// CI's corpus gate: `corpusbench diff` of the archive against itself
+/// exits 0, and against a copy with one total-steps value moved by
+/// one exits nonzero and names the cell and the field.
+#[test]
+fn corpusbench_diff_catches_one_moved_value() {
+    let dir = std::env::temp_dir().join(format!("corpus-diff-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let archive = format!("{}/../../BENCH_corpus.json", env!("CARGO_MANIFEST_DIR"));
+    let copy = dir.join("BENCH_corpus.json");
+    let text = read("BENCH_corpus.json");
+    let diff = || {
+        std::process::Command::new(env!("CARGO_BIN_EXE_corpusbench"))
+            .arg("diff")
+            .arg(&archive)
+            .arg(&copy)
+            .output()
+            .expect("binary runs")
+    };
+
+    std::fs::write(&copy, &text).unwrap();
+    let clean = diff();
+    let stdout = String::from_utf8_lossy(&clean.stdout);
+    assert!(clean.status.success(), "the archive must match: {stdout}");
+    assert!(stdout.contains("4 cells compared, 8 values"), "{stdout}");
+
+    let cell = "{\"cell\":\"compiled/indexed\",\"ok\":500,\"total_steps\":";
+    let at = text.find(cell).unwrap() + cell.len();
+    let end = text[at..].find('}').unwrap() + at;
+    let steps: u64 = text[at..end].parse().unwrap();
+    std::fs::write(
+        &copy,
+        format!("{}{}{}", &text[..at], steps + 1, &text[end..]),
+    )
+    .unwrap();
+    let drifted = diff();
+    let stdout = String::from_utf8_lossy(&drifted.stdout);
+    assert!(!drifted.status.success(), "one moved value: {stdout}");
+    assert!(stdout.contains("compiled/indexed DRIFT"), "{stdout}");
+    assert!(stdout.contains("total_steps"), "{stdout}");
+    assert!(stdout.contains("CORPUS DRIFT DETECTED"), "{stdout}");
+
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

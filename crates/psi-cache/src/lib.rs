@@ -14,6 +14,12 @@
 //!
 //! Timing follows §2.2: 200 ns on a hit, 800 ns on a miss.
 //!
+//! Replacement is LRU within a set. Each set keeps its lines in
+//! recency order, most recently used first, with each line packed into
+//! one word (tag, valid and dirty bits), so a hit moves its line to the
+//! front and a miss evicts the last line. The same [`Cache`] serves the
+//! machine's live memory bus and PMMS trace replay.
+//!
 //! # Example
 //!
 //! ```

@@ -1,4 +1,6 @@
-//! The cache simulator proper.
+//! The cache simulator proper: set-associative LRU over recency-ordered
+//! sets of packed lines, with write-back, write-through and memory-busy
+//! timing.
 
 use crate::{CacheConfig, CacheStats, WritePolicy};
 use psi_core::Address;
@@ -44,15 +46,19 @@ pub struct AccessOutcome {
     pub stall_ns: u64,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    valid: bool,
-    dirty: bool,
-    tag: u32,
-    last_used: u64,
-}
+/// A line packed into one word: `tag << 2 | DIRTY | VALID`. The tag
+/// is at most the whole 32-bit address (one set of 1-word blocks), so
+/// it always fits. An empty line is `0`.
+const VALID: u64 = 1;
+const DIRTY: u64 = 2;
 
 /// A simulated PSI cache.
+///
+/// Each set keeps its lines in recency order: slot 0 holds the most
+/// recently used line and the last slot the least recently used, the
+/// LRU victim. A hit moves its line to slot 0; a fill shifts the set
+/// down by one slot, dropping the victim, and enters at slot 0. Empty
+/// lines therefore always sit at the tail and are filled first.
 ///
 /// Drive it either directly from the machine simulator or by replaying
 /// a recorded trace (the PMMS methodology, see `psi-tools`).
@@ -65,9 +71,12 @@ pub struct Cache {
     set_mask: u32,
     /// `log2(sets)`: block number to tag.
     set_shift: u32,
-    lines: Vec<Line>,
+    ways: usize,
+    store_in: bool,
+    write_stack_no_fetch: bool,
+    /// `ways` packed lines per set, each set in recency order.
+    lines: Vec<u64>,
     stats: CacheStats,
-    stamp: u64,
     /// Simulated time at which main memory becomes free again; used to
     /// model write-back and write-through memory occupancy.
     mem_free_at_ns: u64,
@@ -84,7 +93,6 @@ impl Cache {
     /// (see [`CacheConfig::assert_valid`]).
     pub fn new(config: CacheConfig) -> Cache {
         config.assert_valid();
-        let lines = vec![Line::default(); config.blocks() as usize];
         // Both are powers of two (checked above), so a shift and a
         // mask index exactly as `/` and `%` would.
         let sets = config.sets();
@@ -93,9 +101,11 @@ impl Cache {
             block_shift: config.block_words.trailing_zeros(),
             set_mask: sets - 1,
             set_shift: sets.trailing_zeros(),
-            lines,
+            ways: config.ways as usize,
+            store_in: config.policy == WritePolicy::StoreIn,
+            write_stack_no_fetch: config.write_stack_no_fetch,
+            lines: vec![0; config.blocks() as usize],
             stats: CacheStats::new(),
-            stamp: 0,
             mem_free_at_ns: 0,
             now_ns: 0,
         }
@@ -126,62 +136,72 @@ impl Cache {
 
     /// Performs one access and returns whether it hit and how long it
     /// stalled the processor beyond the 200 ns cycle.
+    // Inlined across crates into its two hot callers, PMMS replay and
+    // the memory bus, where the call was a measurable share of an
+    // access.
+    #[inline]
     pub fn access(&mut self, cmd: CacheCommand, addr: Address) -> AccessOutcome {
-        self.stamp += 1;
         let (set, tag) = self.set_and_tag(addr);
-        let ways = self.config.ways as usize;
-        let base = set * ways;
-
-        let mut hit_way = None;
-        for w in 0..ways {
-            let line = &self.lines[base + w];
-            if line.valid && line.tag == tag {
-                hit_way = Some(w);
-                break;
-            }
-        }
-
-        let hit = hit_way.is_some();
-        let mut stall = 0u64;
-
-        match (cmd, self.config.policy) {
-            (CacheCommand::Read, _) => {
-                if let Some(w) = hit_way {
-                    self.touch(base + w);
-                } else {
-                    stall += self.fetch_block(base, ways, tag, false);
+        let start = set * self.ways;
+        let lines = &mut self.lines[start..start + self.ways];
+        let key = u64::from(tag) << 2 | VALID;
+        // Find the line and move it to slot 0, testing slot 0 first.
+        let hit = lines[0] & !DIRTY == key
+            || match lines.iter().skip(1).position(|&l| l & !DIRTY == key) {
+                Some(w) => {
+                    lines[..=w + 1].rotate_right(1);
+                    true
                 }
+                None => false,
+            };
+
+        let dirty = if cmd.is_write() { DIRTY } else { 0 };
+        let mut stall = 0;
+        if dirty != 0 && !self.store_in {
+            // Write-through with one-deep write buffer and no write
+            // allocation: a hit only refreshes the line's recency, and
+            // the word goes to memory in either case.
+            stall = self.wait_for_memory(0);
+            self.occupy_memory_after(stall);
+            self.stats.through_writes += 1;
+        } else if hit {
+            lines[0] |= dirty;
+        } else {
+            // Shift the set down one slot, dropping the LRU victim, and
+            // enter the new block at slot 0.
+            let victim = lines[self.ways - 1];
+            lines.rotate_right(1);
+            lines[0] = key | dirty;
+            // A write-stack miss may allocate without read-in: the block
+            // is claimed and dirtied but memory is never consulted, so
+            // the push completes within the cycle.
+            if !(cmd == CacheCommand::WriteStack && self.write_stack_no_fetch) {
+                stall = self.wait_for_memory(0) + self.config.miss_extra_ns();
+                // The block transfer keeps main memory busy beyond the
+                // processor's own miss stall (spec (f)): a back-to-back
+                // miss, a write-back, or a through-write racing this
+                // fetch queues behind it.
+                self.occupy_memory_after(stall);
+                self.stats.block_fetches += 1;
             }
-            (CacheCommand::Write, WritePolicy::StoreIn)
-            | (CacheCommand::WriteStack, WritePolicy::StoreIn) => {
-                let no_fetch = cmd == CacheCommand::WriteStack && self.config.write_stack_no_fetch;
-                if let Some(w) = hit_way {
-                    self.touch(base + w);
-                    self.lines[base + w].dirty = true;
-                } else if no_fetch {
-                    // Allocate without read-in: the block is claimed and
-                    // dirtied but memory is never consulted, so the push
-                    // completes within the cycle.
-                    stall += self.allocate_block(base, ways, tag, true, false, 0);
-                } else {
-                    stall += self.fetch_block(base, ways, tag, true);
-                }
-            }
-            (CacheCommand::Write, WritePolicy::StoreThrough)
-            | (CacheCommand::WriteStack, WritePolicy::StoreThrough) => {
-                // Write-through with one-deep write buffer and no write
-                // allocation: update the block on a hit, and send the
-                // word to memory in either case.
-                if let Some(w) = hit_way {
-                    self.touch(base + w);
-                }
+            if victim & DIRTY != 0 {
+                // The dirty victim must be stored before its slot can
+                // be reused; the store queues behind any transfer this
+                // access started (its own block fetch).
                 stall += self.wait_for_memory(stall);
                 self.occupy_memory_after(stall);
-                self.stats.through_writes += 1;
+                self.stats.writebacks += 1;
             }
         }
 
-        self.record(cmd, addr, hit);
+        let c = self.stats.area_mut(addr.area());
+        let (issued, hits) = match cmd {
+            CacheCommand::Read => (&mut c.reads, &mut c.read_hits),
+            CacheCommand::Write => (&mut c.writes, &mut c.write_hits),
+            CacheCommand::WriteStack => (&mut c.write_stacks, &mut c.write_stack_hits),
+        };
+        *issued += 1;
+        *hits += u64::from(hit);
         self.now_ns += self.config.hit_ns + stall;
         AccessOutcome {
             hit,
@@ -195,10 +215,6 @@ impl Cache {
     fn set_and_tag(&self, addr: Address) -> (usize, u32) {
         let block = addr.raw() >> self.block_shift;
         ((block & self.set_mask) as usize, block >> self.set_shift)
-    }
-
-    fn touch(&mut self, idx: usize) {
-        self.lines[idx].last_used = self.stamp;
     }
 
     /// Waits until main memory is free, measured from this access's
@@ -216,92 +232,6 @@ impl Cache {
     /// [`Cache::wait_for_memory`].
     fn occupy_memory_after(&mut self, stall_so_far: u64) {
         self.mem_free_at_ns = self.now_ns + stall_so_far + self.config.memory_busy_ns;
-    }
-
-    /// Picks a victim way in the set, writing back a dirty victim.
-    /// `stall_so_far` is the stall the access has already accumulated,
-    /// so the write-back queues behind any transfer the same access
-    /// started (e.g. its own block fetch). Returns the extra stall
-    /// incurred here.
-    fn allocate_block(
-        &mut self,
-        base: usize,
-        ways: usize,
-        tag: u32,
-        dirty: bool,
-        fetched: bool,
-        stall_so_far: u64,
-    ) -> u64 {
-        let mut victim = 0usize;
-        let mut best = u64::MAX;
-        for w in 0..ways {
-            let line = &self.lines[base + w];
-            if !line.valid {
-                victim = w;
-                break;
-            }
-            if line.last_used < best {
-                best = line.last_used;
-                victim = w;
-            }
-        }
-        let mut stall = 0u64;
-        let line = self.lines[base + victim];
-        if line.valid && line.dirty {
-            // The dirty victim must be stored before the set entry can
-            // be reused; the store occupies memory behind the access.
-            stall += self.wait_for_memory(stall_so_far);
-            self.occupy_memory_after(stall_so_far + stall);
-            self.stats.writebacks += 1;
-        }
-        if fetched {
-            self.stats.block_fetches += 1;
-        }
-        self.lines[base + victim] = Line {
-            valid: true,
-            dirty,
-            tag,
-            last_used: self.stamp,
-        };
-        stall
-    }
-
-    /// Fetches a block from memory into the set. Returns the stall.
-    fn fetch_block(&mut self, base: usize, ways: usize, tag: u32, dirty: bool) -> u64 {
-        let mut stall = self.wait_for_memory(0);
-        stall += self.config.miss_extra_ns();
-        // The block transfer keeps main memory busy beyond the
-        // processor's own miss stall (spec (f)): a back-to-back miss,
-        // a write-back, or a through-write racing this fetch queues
-        // behind it. Omitting this under-counted clustered-miss
-        // stalls.
-        self.occupy_memory_after(stall);
-        stall += self.allocate_block(base, ways, tag, dirty, true, stall);
-        stall
-    }
-
-    fn record(&mut self, cmd: CacheCommand, addr: Address, hit: bool) {
-        let c = self.stats.area_mut(addr.area());
-        match cmd {
-            CacheCommand::Read => {
-                c.reads += 1;
-                if hit {
-                    c.read_hits += 1;
-                }
-            }
-            CacheCommand::Write => {
-                c.writes += 1;
-                if hit {
-                    c.write_hits += 1;
-                }
-            }
-            CacheCommand::WriteStack => {
-                c.write_stacks += 1;
-                if hit {
-                    c.write_stack_hits += 1;
-                }
-            }
-        }
     }
 }
 

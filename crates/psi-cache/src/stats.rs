@@ -63,8 +63,6 @@ impl AreaCacheCounters {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     per_area: [AreaCacheCounters; AREA_COUNT],
-    /// Total stall time beyond the 200 ns cycle, in nanoseconds.
-    pub stall_ns: u64,
     /// Dirty blocks written back to main memory (store-in only).
     pub writebacks: u64,
     /// Blocks fetched from main memory.
@@ -126,17 +124,6 @@ impl CacheStats {
         let t = self.total();
         (t.all_writes() > 0).then(|| t.write_stacks as f64 * 100.0 / t.all_writes() as f64)
     }
-
-    /// Merges another run's statistics into this one.
-    pub fn merge(&mut self, other: &CacheStats) {
-        for i in 0..AREA_COUNT {
-            self.per_area[i].merge(&other.per_area[i]);
-        }
-        self.stall_ns += other.stall_ns;
-        self.writebacks += other.writebacks;
-        self.block_fetches += other.block_fetches;
-        self.through_writes += other.through_writes;
-    }
 }
 
 #[cfg(test)]
@@ -184,18 +171,5 @@ mod tests {
         let shares = s.area_shares_pct();
         assert!((shares[Area::Heap.index()] - 100.0).abs() < 1e-9);
         assert_eq!(shares[Area::TrailStack.index()], 0.0);
-    }
-
-    #[test]
-    fn merge_adds_counters() {
-        let mut a = CacheStats::new();
-        a.area_mut(Area::LocalStack).reads = 5;
-        a.stall_ns = 100;
-        let mut b = CacheStats::new();
-        b.area_mut(Area::LocalStack).reads = 7;
-        b.stall_ns = 50;
-        a.merge(&b);
-        assert_eq!(a.area(Area::LocalStack).reads, 12);
-        assert_eq!(a.stall_ns, 150);
     }
 }

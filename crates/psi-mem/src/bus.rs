@@ -324,7 +324,6 @@ impl MemBus {
                     CacheCommand::Write => c.writes += 1,
                     CacheCommand::WriteStack => c.write_stacks += 1,
                 }
-                stats.stall_ns += *miss_extra_ns;
                 self.stall_ns += *miss_extra_ns;
                 false
             }

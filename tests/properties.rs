@@ -10,9 +10,10 @@
 
 use psi::dec10::{DecConfig, DecMachine};
 use psi::kl0::Program;
-use psi::psi_cache::{Cache, CacheCommand, CacheConfig};
-use psi::psi_core::{Address, Area, ProcessId};
+use psi::psi_cache::{Cache, CacheCommand, CacheConfig, CacheStats, WritePolicy};
+use psi::psi_core::{Address, Area, ProcessId, AREA_COUNT};
 use psi::psi_machine::{Machine, MachineConfig};
+use std::collections::HashSet;
 
 /// xorshift64* — tiny, deterministic, good enough for test-case
 /// generation.
@@ -242,76 +243,260 @@ fn backtracking_restores_machine_state() {
 // Cache model vs a naive reference simulator
 // ------------------------------------------------------------------
 
-/// A deliberately simple reference cache: same geometry and LRU
-/// policy, structured entirely differently (vector of sets of
-/// (tag, last-used) pairs), used to cross-check hit/miss decisions.
+/// A deliberately simple reference cache: same geometry, LRU policy
+/// and timing, structured entirely differently (vector of sets of
+/// lines stamped with their last use, the victim found by a min-scan
+/// over the stamps), used to cross-check hits, stalls and every
+/// statistic.
 struct ReferenceCache {
-    sets: Vec<Vec<(u32, u64)>>,
-    ways: usize,
-    block: u32,
+    config: CacheConfig,
+    sets: Vec<Vec<RefLine>>,
     clock: u64,
+    now_ns: u64,
+    mem_free_at_ns: u64,
+    stats: CacheStats,
+}
+
+#[derive(Clone)]
+struct RefLine {
+    tag: u32,
+    dirty: bool,
+    last_used: u64,
 }
 
 impl ReferenceCache {
-    fn new(config: &CacheConfig) -> ReferenceCache {
+    fn new(config: CacheConfig) -> ReferenceCache {
         ReferenceCache {
+            config,
             sets: vec![Vec::new(); config.sets() as usize],
-            ways: config.ways as usize,
-            block: config.block_words,
             clock: 0,
+            now_ns: 0,
+            mem_free_at_ns: 0,
+            stats: CacheStats::new(),
         }
     }
 
-    fn access(&mut self, addr: Address) -> bool {
+    fn advance(&mut self, ns: u64) {
+        self.now_ns += ns;
+    }
+
+    /// Waits for memory from this access's stall point `at`, then
+    /// keeps memory busy behind the wait; returns the wait.
+    fn use_memory(&mut self, at: u64) -> u64 {
+        let wait = self.mem_free_at_ns.saturating_sub(self.now_ns + at);
+        self.mem_free_at_ns = self.now_ns + at + wait + self.config.memory_busy_ns;
+        wait
+    }
+
+    /// Returns (hit, stall in ns).
+    fn access(&mut self, cmd: CacheCommand, addr: Address) -> (bool, u64) {
         self.clock += 1;
-        let block = addr.raw() / self.block;
-        let nsets = self.sets.len() as u32;
-        let set = &mut self.sets[(block % nsets) as usize];
+        let block = addr.raw() / self.config.block_words;
+        let nsets = self.config.sets();
+        let si = (block % nsets) as usize;
         let tag = block / nsets;
-        if let Some(entry) = set.iter_mut().find(|(t, _)| *t == tag) {
-            entry.1 = self.clock;
-            return true;
+        let clock = self.clock;
+        let found = self.sets[si].iter().position(|l| l.tag == tag);
+        if let Some(i) = found {
+            self.sets[si][i].last_used = clock;
         }
-        if set.len() == self.ways {
-            let lru = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, used))| *used)
-                .map(|(i, _)| i)
-                .expect("nonempty");
-            set.remove(lru);
+        let hit = found.is_some();
+        let store_in = self.config.policy == WritePolicy::StoreIn;
+        let mut stall = 0;
+        if cmd.is_write() && !store_in {
+            stall += self.use_memory(0);
+            self.stats.through_writes += 1;
+        } else if let Some(i) = found {
+            if cmd.is_write() {
+                self.sets[si][i].dirty = true;
+            }
+        } else {
+            let fetch = !(cmd == CacheCommand::WriteStack && self.config.write_stack_no_fetch);
+            if fetch {
+                // The wait for memory, then the transfer, which keeps
+                // memory busy for `memory_busy_ns` from its start.
+                let wait = self.mem_free_at_ns.saturating_sub(self.now_ns);
+                stall = wait + self.config.miss_extra_ns();
+                self.mem_free_at_ns = self.now_ns + stall + self.config.memory_busy_ns;
+                self.stats.block_fetches += 1;
+            }
+            if self.sets[si].len() == self.config.ways as usize {
+                let lru = (0..self.sets[si].len())
+                    .min_by_key(|&i| self.sets[si][i].last_used)
+                    .expect("a full set is nonempty");
+                if self.sets[si].remove(lru).dirty {
+                    stall += self.use_memory(stall);
+                    self.stats.writebacks += 1;
+                }
+            }
+            self.sets[si].push(RefLine {
+                tag,
+                dirty: cmd.is_write(),
+                last_used: clock,
+            });
         }
-        set.push((tag, self.clock));
-        false
+        let c = self.stats.area_mut(addr.area());
+        let (issued, hits) = match cmd {
+            CacheCommand::Read => (&mut c.reads, &mut c.read_hits),
+            CacheCommand::Write => (&mut c.writes, &mut c.write_hits),
+            CacheCommand::WriteStack => (&mut c.write_stacks, &mut c.write_stack_hits),
+        };
+        *issued += 1;
+        *hits += hit as u64;
+        self.now_ns += self.config.hit_ns + stall;
+        (hit, stall)
     }
 }
 
-/// Our cache's hit/miss decisions match the reference model for
-/// arbitrary access patterns (reads and write-stacks both allocate,
-/// so the reference treats them identically).
+/// Every geometry the repository builds, plus the corners the
+/// index arithmetic and line packing must survive.
+fn oracle_geometries() -> Vec<CacheConfig> {
+    let mut configs: Vec<CacheConfig> = (0..11)
+        .map(|i| CacheConfig::psi_with_capacity(8 << i))
+        .collect();
+    // sweepbench's default geometry axis.
+    for capacity_words in [32, 64, 256, 1024, 4096, 8192] {
+        for ways in [1, 2] {
+            for block_words in [4, 8] {
+                for policy in [WritePolicy::StoreIn, WritePolicy::StoreThrough] {
+                    configs.push(CacheConfig {
+                        capacity_words,
+                        ways,
+                        block_words,
+                        policy,
+                        ..CacheConfig::psi()
+                    });
+                }
+            }
+        }
+    }
+    configs.push(CacheConfig::psi_direct_mapped_4k());
+    configs.push(CacheConfig::psi_store_through());
+    configs.push(CacheConfig {
+        capacity_words: 64,
+        write_stack_no_fetch: false,
+        ..CacheConfig::psi()
+    });
+    // One set of 1-word blocks: the tag is the whole 32-bit address.
+    configs.push(CacheConfig {
+        capacity_words: 4,
+        block_words: 1,
+        ways: 4,
+        ..CacheConfig::psi()
+    });
+    configs
+}
+
+/// A seeded trace of (gap before the access in ns, command, address)
+/// whose footprint is a few times `capacity_words`, spread over every
+/// process and area, so a cache of that size both hits and evicts.
+fn cache_trace(rng: &mut Rng, capacity_words: u32, n: usize) -> Vec<(u64, CacheCommand, Address)> {
+    let span = capacity_words * [1, 2, 4][rng.range_usize(0, 3)];
+    let top = (1 << 27) - 1;
+    let mut cursor = 0u32;
+    (0..n)
+        .map(|_| {
+            let gap = match rng.next_u64() % 8 {
+                0..=3 => 0,
+                4..=6 => 200 * rng.range_usize(1, 5) as u64,
+                _ => 10_000,
+            };
+            let cmd = match rng.next_u64() % 4 {
+                0 | 1 => CacheCommand::Read,
+                2 => CacheCommand::Write,
+                _ => CacheCommand::WriteStack,
+            };
+            cursor = match rng.next_u64() % 4 {
+                0 => (cursor + 1) % span,
+                1 => top - (rng.next_u64() % 16) as u32,
+                _ => (rng.next_u64() % span as u64) as u32,
+            };
+            let process = ProcessId::new((rng.next_u64() % 4) as u8);
+            let area = Area::ALL[rng.range_usize(0, Area::ALL.len())];
+            (gap, cmd, Address::new(process, area, cursor))
+        })
+        .collect()
+}
+
+/// Our cache matches the reference model access by access (hit and
+/// stall) and in every final statistic, per area, on every geometry
+/// the repository builds, under all three commands and with
+/// computation time passing between accesses.
 #[test]
 fn cache_matches_reference_model() {
-    for seed in 0..32u64 {
-        let mut rng = Rng::new(seed ^ 0xcac4e);
-        let cap_exp = 3 + (rng.next_u64() % 7) as u32;
-        let n = rng.range_usize(1, 300);
-        let offsets: Vec<u32> = (0..n).map(|_| (rng.next_u64() % 512) as u32).collect();
-        let config = CacheConfig::psi_with_capacity(1 << cap_exp);
-        let mut ours = Cache::new(config);
-        let mut reference = ReferenceCache::new(&config);
-        for (i, off) in offsets.iter().enumerate() {
-            let addr = Address::new(ProcessId::ZERO, Area::Heap, *off);
-            let cmd = if i % 4 == 3 {
-                CacheCommand::WriteStack
-            } else {
-                CacheCommand::Read
-            };
-            let out = ours.access(cmd, addr);
-            let expected = reference.access(addr);
-            assert_eq!(out.hit, expected, "seed {seed}: access {i} at {addr}");
+    for (g, config) in oracle_geometries().into_iter().enumerate() {
+        for seed in 0..4u64 {
+            let mut rng = Rng::new(seed ^ 0xcac4e ^ ((g as u64) << 8));
+            let mut ours = Cache::new(config);
+            let mut reference = ReferenceCache::new(config);
+            for (i, (gap, cmd, addr)) in cache_trace(&mut rng, config.capacity_words, 1500)
+                .into_iter()
+                .enumerate()
+            {
+                ours.advance(gap);
+                reference.advance(gap);
+                let out = ours.access(cmd, addr);
+                assert_eq!(
+                    (out.hit, out.stall_ns),
+                    reference.access(cmd, addr),
+                    "{config:?} seed {seed}: access {i}, {cmd:?} at {addr}"
+                );
+            }
+            assert_eq!(*ours.stats(), reference.stats, "{config:?} seed {seed}");
         }
-        let t = ours.stats().total();
-        assert_eq!(t.accesses(), offsets.len() as u64, "seed {seed}");
+    }
+}
+
+/// On a single fully associative set, an LRU cache holds exactly the
+/// `ways` most recently used blocks, so an access hits if and only if
+/// fewer than `ways` distinct blocks were touched since its block's
+/// last use (its LRU stack distance; Mattson et al. 1970). Store-in
+/// allocates on every miss, so this inclusion holds for it; store-
+/// through writes do not allocate and are left out.
+#[test]
+fn single_set_hits_equal_stack_distance_profile() {
+    for seed in 0..8u64 {
+        let mut rng = Rng::new(seed ^ 0x57ac);
+        let trace = cache_trace(&mut rng, 64, 3000);
+        let block_words = 4;
+        let blocks: Vec<u32> = trace
+            .iter()
+            .map(|(_, _, a)| a.raw() / block_words)
+            .collect();
+        let distance: Vec<Option<usize>> = (0..blocks.len())
+            .map(|i| {
+                let last = blocks[..i].iter().rposition(|&b| b == blocks[i])?;
+                let between: HashSet<u32> = blocks[last + 1..i].iter().copied().collect();
+                Some(between.len())
+            })
+            .collect();
+        for ways in [1, 2, 4, 8, 16, 32] {
+            for write_stack_no_fetch in [true, false] {
+                let config = CacheConfig {
+                    capacity_words: ways * block_words,
+                    ways,
+                    write_stack_no_fetch,
+                    ..CacheConfig::psi()
+                };
+                assert_eq!(config.sets(), 1);
+                let mut cache = Cache::new(config);
+                let mut expected = [0u64; AREA_COUNT];
+                for ((gap, cmd, addr), d) in trace.iter().zip(&distance) {
+                    cache.advance(*gap);
+                    cache.access(*cmd, *addr);
+                    if d.is_some_and(|d| d < ways as usize) {
+                        expected[addr.area().index()] += 1;
+                    }
+                }
+                for area in Area::ALL {
+                    assert_eq!(
+                        cache.stats().area(area).hits(),
+                        expected[area.index()],
+                        "seed {seed}, {ways} ways, {area:?}"
+                    );
+                }
+            }
+        }
     }
 }
 
