@@ -162,18 +162,6 @@ impl Program {
     pub fn clause_count(&self) -> usize {
         self.clauses.values().map(Vec::len).sum()
     }
-
-    /// Merges another program's clauses into this one (library +
-    /// workload composition).
-    pub fn extend_with(&mut self, other: Program) {
-        for key in other.order {
-            let clauses = other.clauses.get(&key).cloned().unwrap_or_default();
-            for c in clauses {
-                self.add_clause(c).expect("clauses already validated");
-            }
-        }
-        self.directives.extend(other.directives);
-    }
 }
 
 impl fmt::Display for Program {
@@ -228,13 +216,5 @@ mod tests {
         let p2 = Program::parse(&printed).unwrap();
         assert_eq!(p.clause_count(), p2.clause_count());
         assert_eq!(printed, p2.to_string());
-    }
-
-    #[test]
-    fn extend_with_appends() {
-        let mut p = Program::parse("p(1).").unwrap();
-        p.extend_with(Program::parse("p(2). r.").unwrap());
-        assert_eq!(p.clauses_for(&("p".into(), 1)).len(), 2);
-        assert_eq!(p.clause_count(), 3);
     }
 }

@@ -71,11 +71,6 @@ impl Term {
         }
     }
 
-    /// Is this term the empty list?
-    pub fn is_nil(&self) -> bool {
-        matches!(self, Term::Atom(a) if a == "[]")
-    }
-
     /// The functor name and arity of this term, treating atoms as
     /// arity-0 functors. Variables and integers have none.
     pub fn functor(&self) -> Option<(&str, usize)> {

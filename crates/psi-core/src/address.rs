@@ -59,11 +59,6 @@ impl Area {
             Area::TrailStack => "trail",
         }
     }
-
-    /// Is this one of the four stack areas?
-    pub fn is_stack(self) -> bool {
-        self != Area::Heap
-    }
 }
 
 impl fmt::Display for Area {
@@ -193,21 +188,6 @@ impl Address {
     pub fn offset_by(self, delta: u32) -> Address {
         Address::new(self.process(), self.area(), self.offset() + delta)
     }
-
-    /// The address `delta` words before this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the offset would become negative.
-    pub fn back_by(self, delta: u32) -> Address {
-        Address::new(
-            self.process(),
-            self.area(),
-            self.offset()
-                .checked_sub(delta)
-                .expect("address offset underflow"),
-        )
-    }
 }
 
 impl fmt::Debug for Address {
@@ -291,14 +271,6 @@ mod tests {
     fn offset_arithmetic() {
         let a = Address::new(ProcessId::ZERO, Area::LocalStack, 100);
         assert_eq!(a.offset_by(5).offset(), 105);
-        assert_eq!(a.offset_by(5).back_by(5), a);
-    }
-
-    #[test]
-    #[should_panic(expected = "underflow")]
-    fn back_by_underflow_panics() {
-        let a = Address::new(ProcessId::ZERO, Area::LocalStack, 1);
-        let _ = a.back_by(2);
     }
 
     #[test]

@@ -150,13 +150,6 @@ pub enum PsiError {
         /// Why the machine is not forkable.
         detail: String,
     },
-    /// A machine snapshot could not be produced or restored: wrong
-    /// schema version, a corrupt field, or an image mismatch between
-    /// the snapshotting and restoring builds.
-    Snapshot {
-        /// What went wrong.
-        detail: String,
-    },
 }
 
 impl PsiError {
@@ -164,7 +157,7 @@ impl PsiError {
     /// wire. `psi-server` maps every error onto its JSON-lines
     /// protocol through this code (see PROTOCOL.md), so the values
     /// are append-only: new variants take new codes, existing codes
-    /// never change meaning.
+    /// never change meaning, and retired codes (11) are never reused.
     pub fn wire_code(&self) -> u32 {
         match self {
             PsiError::OutOfArea { .. } => 1,
@@ -177,7 +170,6 @@ impl PsiError {
             PsiError::Syntax { .. } => 8,
             PsiError::Compile { .. } => 9,
             PsiError::ForkAfterRun { .. } => 10,
-            PsiError::Snapshot { .. } => 11,
         }
     }
 
@@ -196,7 +188,6 @@ impl PsiError {
             PsiError::Syntax { .. } => "syntax",
             PsiError::Compile { .. } => "compile",
             PsiError::ForkAfterRun { .. } => "fork_after_run",
-            PsiError::Snapshot { .. } => "snapshot",
         }
     }
 }
@@ -239,7 +230,6 @@ impl fmt::Display for PsiError {
             PsiError::ForkAfterRun { detail } => {
                 write!(f, "machine is not forkable: {detail}")
             }
-            PsiError::Snapshot { detail } => write!(f, "snapshot error: {detail}"),
         }
     }
 }
@@ -289,9 +279,6 @@ mod tests {
             },
             PsiError::ForkAfterRun {
                 detail: "machine has compiled 3 queries".into(),
-            },
-            PsiError::Snapshot {
-                detail: "unsupported schema psi-snapshot-v9".into(),
             },
         ];
         for e in errors {
@@ -351,7 +338,6 @@ mod tests {
             },
             PsiError::Compile { detail: "x".into() },
             PsiError::ForkAfterRun { detail: "x".into() },
-            PsiError::Snapshot { detail: "x".into() },
         ];
         let mut seen = std::collections::HashSet::new();
         for e in &errors {
@@ -362,11 +348,12 @@ mod tests {
             assert!(!kind.is_empty());
             assert!(kind.chars().all(|c| c.is_ascii_lowercase() || c == '_'));
         }
-        // Codes 1..=11 are claimed, in variant declaration order.
+        // Codes 1..=10 are claimed, in variant declaration order;
+        // code 11 is retired.
         assert_eq!(errors[0].wire_code(), 1);
         assert_eq!(errors[8].wire_code(), 9);
         assert_eq!(errors[9].wire_code(), 10);
-        assert_eq!(errors[10].wire_code(), 11);
+        assert!(!seen.contains(&11), "retired wire code 11 reused");
     }
 
     #[test]

@@ -6,43 +6,37 @@
 //! `EventRing` in `psi-obs`). Events are pure `Copy` data: recording
 //! one is a bit copy into pre-allocated storage, never a heap
 //! allocation, so tracing can be left on around the hot path.
-//!
-//! The numeric `code` of each [`EventKind`] and the payload layout are
-//! stable — they are the wire format of the JSON-lines exporter in
-//! `psi-tools` — so add new kinds at the end and never renumber.
 
 use std::fmt;
 
-/// What an [`ObsEvent`] describes. The `u8` code is the stable wire
-/// encoding used by the event exporter.
+/// What an [`ObsEvent`] describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
 pub enum EventKind {
     /// One goal dispatch in the interpreter main loop.
     /// Payload: `a` = code pointer of the dispatched goal word.
-    Dispatch = 0,
+    Dispatch,
     /// One counted memory access. Payload: `a` = cache command code
     /// (0 read, 1 write, 2 write-stack), `b` = memory-area index
     /// ([`crate::Area`] order), `c` = 1 on a cache hit, 0 on a miss.
-    CacheAccess = 1,
+    CacheAccess,
     /// One backtrack (a choice point was retried or discarded).
     /// Payload: `a` = choice points remaining afterwards.
-    Backtrack = 2,
+    Backtrack,
     /// One periodic resource-governor budget check (every
     /// `GOVERNOR_INTERVAL` dispatches). No payload.
-    GovernorCheck = 3,
+    GovernorCheck,
     /// A governor budget trip. Payload: `a` = exhausted resource code
     /// ([`crate::Resource::code`]).
-    GovernorTrip = 4,
+    GovernorTrip,
     /// One first-argument index lookup at a call (only emitted when
     /// clause indexing is enabled). Payload: `a` = surviving candidate
     /// clauses, `b` = the predicate's total clauses, `c` = 1 when the
     /// single surviving candidate was entered without a choice point.
-    IndexLookup = 5,
+    IndexLookup,
 }
 
 impl EventKind {
-    /// Every kind, in code order.
+    /// Every kind, in declaration order.
     pub const ALL: [EventKind; 6] = [
         EventKind::Dispatch,
         EventKind::CacheAccess,
@@ -52,17 +46,7 @@ impl EventKind {
         EventKind::IndexLookup,
     ];
 
-    /// The stable wire code.
-    pub fn code(self) -> u8 {
-        self as u8
-    }
-
-    /// Decodes a wire code; `None` for codes this build does not know.
-    pub fn from_code(code: u8) -> Option<EventKind> {
-        EventKind::ALL.get(code as usize).copied()
-    }
-
-    /// A short stable label (used in summaries and exports).
+    /// A short label, also the `Display` form.
     pub fn label(self) -> &'static str {
         match self {
             EventKind::Dispatch => "dispatch",
@@ -171,15 +155,6 @@ impl ObsEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn codes_round_trip_and_unknown_codes_decode_to_none() {
-        for kind in EventKind::ALL {
-            assert_eq!(EventKind::from_code(kind.code()), Some(kind));
-        }
-        assert_eq!(EventKind::from_code(EventKind::ALL.len() as u8), None);
-        assert_eq!(EventKind::from_code(u8::MAX), None);
-    }
 
     #[test]
     fn labels_are_distinct() {

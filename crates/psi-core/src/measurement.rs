@@ -37,15 +37,6 @@ impl Measurement {
     pub fn is_full(self) -> bool {
         matches!(self, Measurement::Full)
     }
-
-    /// Stable short label (used by benchmark reports and written into
-    /// snapshots, so `Off` keeps its historical `throughput` label).
-    pub fn label(self) -> &'static str {
-        match self {
-            Measurement::Full => "fidelity",
-            Measurement::Off => "throughput",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -57,11 +48,5 @@ mod tests {
         assert_eq!(Measurement::default(), Measurement::Full);
         assert!(Measurement::Full.is_full());
         assert!(!Measurement::Off.is_full());
-    }
-
-    #[test]
-    fn labels_are_stable() {
-        assert_eq!(Measurement::Full.label(), "fidelity");
-        assert_eq!(Measurement::Off.label(), "throughput");
     }
 }

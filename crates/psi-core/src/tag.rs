@@ -160,11 +160,6 @@ impl Tag {
         self == Tag::Atom
     }
 
-    /// Is this a runtime value tag (could be stored in a variable)?
-    pub fn is_value(self) -> bool {
-        (self as u8) < 0x10
-    }
-
     /// Is this tag an atomic (non-compound, non-variable) value?
     pub fn is_atomic_value(self) -> bool {
         matches!(self, Tag::Atom | Tag::Int | Tag::Nil)
@@ -264,11 +259,9 @@ mod tests {
             Tag::EndBody,
         ] {
             assert!(tag.is_code(), "{tag}");
-            assert!(!tag.is_value(), "{tag}");
         }
         for tag in [Tag::Undef, Tag::Ref, Tag::Atom, Tag::Int, Tag::Nil] {
             assert!(!tag.is_code(), "{tag}");
-            assert!(tag.is_value(), "{tag}");
         }
     }
 

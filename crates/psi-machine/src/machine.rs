@@ -63,17 +63,6 @@ impl ResourceLimits {
         ResourceLimits::default()
     }
 
-    /// Is any budget configured?
-    pub fn any_set(&self) -> bool {
-        self.max_steps.is_some()
-            || self.max_heap_words.is_some()
-            || self.max_local_words.is_some()
-            || self.max_global_words.is_some()
-            || self.max_control_words.is_some()
-            || self.max_trail_words.is_some()
-            || self.deadline.is_some()
-    }
-
     /// Sets the per-run step budget.
     pub fn with_max_steps(mut self, steps: u64) -> ResourceLimits {
         self.max_steps = Some(steps);
@@ -153,7 +142,7 @@ pub struct MachineConfig {
     /// superinstruction chaining and pre-recorded microstep charge
     /// packets. Solutions, microstep totals, per-module/branch tallies
     /// and budget-exhaustion behaviour stay bit-identical to the
-    /// fidelity lane (see `tests/three_lane.rs`), while cache
+    /// fidelity lane (see `tests/two_lane.rs`), while cache
     /// statistics and stall time read zero.
     pub measurement: Measurement,
 }
@@ -505,7 +494,7 @@ pub(crate) struct Proc {
 /// past a reservation still works; it is merely counted.
 /// Sized for the deepest Table 1 row (the Lisp interpreter running
 /// tarai3 keeps thousands of activations, saved frames and choice
-/// points live at once); `tests/three_lane.rs` asserts zero growth
+/// points live at once); `tests/two_lane.rs` asserts zero growth
 /// across the whole suite.
 const ENVS_RESERVE: usize = 8192;
 const CPS_RESERVE: usize = 8192;
@@ -877,7 +866,7 @@ impl Machine {
     }
 
     /// Is this machine a consulted-but-never-run template — eligible
-    /// for [`Machine::fork`] and for snapshotting? True after `load`
+    /// for [`Machine::fork`]? True after `load`
     /// and after incremental [`Machine::consult`]s; false once any
     /// query has been compiled (query entry stubs make the image
     /// diverge from a fresh consult) or any microstep has executed.
@@ -1291,11 +1280,6 @@ impl Machine {
     /// events were last taken.
     pub fn events_dropped(&self) -> u64 {
         self.bus.events_dropped()
-    }
-
-    /// The compiled code image (for inspection and tooling).
-    pub fn image(&self) -> &CodeImage {
-        &self.image
     }
 
     /// The machine configuration.

@@ -242,11 +242,6 @@ impl WorkFile {
         self.stats = WfStats::default();
     }
 
-    /// Merge-friendly access to statistics for process aggregation.
-    pub fn stats_mut(&mut self) -> &mut WfStats {
-        &mut self.stats
-    }
-
     /// Records a register read (no storage semantics needed — the
     /// interpreter's registers live in machine state; only the access
     /// pattern matters).
@@ -330,14 +325,6 @@ impl WorkFile {
             self.stats.record(WfField::Destination, WfMode::IndWfar2);
         } else {
             self.stats.record(WfField::Source1, WfMode::IndWfar2);
-        }
-    }
-
-    /// Records a general-purpose WFCBR base-relative access.
-    #[inline]
-    pub fn touch_wfcbr(&mut self) {
-        if self.measured {
-            self.stats.record(WfField::Source1, WfMode::BaseWfcbr);
         }
     }
 }

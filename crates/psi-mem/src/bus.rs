@@ -144,11 +144,6 @@ impl MemBus {
         }
     }
 
-    /// Whether trace recording is currently enabled.
-    pub fn trace_enabled(&self) -> bool {
-        self.trace.is_some()
-    }
-
     /// Takes the recorded trace, leaving recording enabled.
     pub fn take_trace(&mut self) -> Vec<TraceEntry> {
         match &mut self.trace {

@@ -121,11 +121,6 @@ impl Memory {
             a.truncate(len as usize);
         }
     }
-
-    /// Total words currently allocated across all areas.
-    pub fn total_words(&self) -> usize {
-        self.areas.iter().map(Vec::len).sum()
-    }
 }
 
 impl Default for Memory {

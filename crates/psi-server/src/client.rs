@@ -99,18 +99,6 @@ impl Client {
         }
     }
 
-    /// Sends one raw line and returns the next response object —
-    /// the escape hatch the hostile-input tests use.
-    ///
-    /// # Errors
-    ///
-    /// Transport or decode errors (an `ok:false` response is returned
-    /// as a normal object here, not as `Err`).
-    pub fn roundtrip_raw(&mut self, line: &str) -> Result<JsonObject, ClientError> {
-        self.send(line)?;
-        self.recv()
-    }
-
     /// Consults KL0 source into the session.
     ///
     /// # Errors

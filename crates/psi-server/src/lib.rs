@@ -22,7 +22,7 @@
 //! PROTOCOL.md and ARCHITECTURE.md §Serving).
 //!
 //! Every failure mode on the wire is a typed error line: engine
-//! errors carry [`psi_core::PsiError::wire_code`] (1–9), protocol
+//! errors carry [`psi_core::PsiError::wire_code`] (1–10), protocol
 //! violations and contained panics use codes 100/101. The server
 //! never panics the process on client input — the input-hardening
 //! work in `kl0` (bounded parser recursion, bounded list literals)

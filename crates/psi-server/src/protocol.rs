@@ -19,7 +19,7 @@ pub const WIRE_PROTOCOL_VERSION: u64 = 1;
 
 /// Wire code for a malformed request (bad JSON, unknown `cmd`,
 /// missing field, oversized line). Engine errors use
-/// [`PsiError::wire_code`] (1–9); server-level codes start at 100.
+/// [`PsiError::wire_code`] (1–10); server-level codes start at 100.
 pub const CODE_PROTOCOL: u64 = 100;
 
 /// Wire code for a contained panic inside the session's machine. The

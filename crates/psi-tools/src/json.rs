@@ -1,8 +1,8 @@
 //! Hand-rolled flat-JSON codec shared by the line-oriented tools.
 //!
 //! The workspace is dependency-free by design, so every JSON surface
-//! (trace export, event export, bench archives, the `psi-server` wire
-//! protocol) is hand-rolled. The earlier codecs could stay trivial
+//! (trace export, bench archives, the `psi-server` wire protocol) is
+//! hand-rolled. The earlier codecs could stay trivial
 //! because their objects held only integers; the server protocol
 //! carries *program text* inside string fields, which needs real
 //! string escaping on both sides. This module is the one shared
@@ -75,14 +75,6 @@ impl JsonValue {
 
     /// The value as a `u64`, if it is a non-negative integer literal.
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Num(n) => n.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The value as an `i64`, if it is an integer literal.
-    pub fn as_i64(&self) -> Option<i64> {
         match self {
             JsonValue::Num(n) => n.parse().ok(),
             _ => None,
@@ -755,6 +747,6 @@ mod tests {
         assert!(obj.str_field("missing").is_err());
         assert!(obj.u64_field("a").is_err());
         assert!(obj.u64_field("b").is_err(), "negative is not u64");
-        assert_eq!(obj.get("b").unwrap().as_i64(), Some(-3));
+        assert_eq!(obj.get("b").unwrap().as_f64(), Some(-3.0));
     }
 }

@@ -3,11 +3,9 @@
 //! * [`collect`] — COLLECT: capture and persist execution traces
 //!   (microstep-stamped cache commands with addresses), as the
 //!   console-processor tool dumped them "onto a flexible disk";
-//! * [`events`] — export/import of observability event streams
-//!   (JSON lines) captured from the machine's bounded event ring;
 //! * [`json`] — the shared hand-rolled flat-JSON codec behind the
-//!   line-oriented formats (event export, bench archives, and the
-//!   `psi-server` wire protocol);
+//!   line-oriented formats (bench archives and the `psi-server` wire
+//!   protocol);
 //! * [`map`] — MAP: count microinstruction field patterns, producing
 //!   the work-file (Table 6) and branch (Table 7) analyses;
 //! * [`pmms`] — PMMS: replay a collected trace through arbitrary
@@ -21,9 +19,7 @@
 #![warn(missing_docs)]
 
 pub mod collect;
-pub mod events;
 pub mod json;
 pub mod map;
 pub mod pmms;
 pub mod quantile;
-pub mod snapshot;

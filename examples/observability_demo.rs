@@ -1,13 +1,13 @@
-//! Observability end to end: trace a run through the event ring,
-//! export/import the stream as JSON lines, and read the metrics
-//! registry's snapshot next to the machine's own statistics.
+//! Observability end to end: trace a run through the event ring and
+//! read the metrics registry's snapshot next to the machine's own
+//! statistics.
 //!
 //! Run with: `cargo run --release --example observability_demo`
 
 use kl0::Program;
+use psi_core::EventKind;
 use psi_machine::{InterpModule, Machine, MachineConfig};
 use psi_obs::{Counter, Histo};
-use psi_tools::events::{load_events, save_events, summarize_events};
 
 fn main() -> Result<(), psi_core::PsiError> {
     let w = psi_workloads::contest::queens_all(6);
@@ -21,31 +21,16 @@ fn main() -> Result<(), psi_core::PsiError> {
 
     let dropped = machine.events_dropped();
     let events = machine.take_events();
-    let summary = summarize_events(&events);
     println!(
         "\nevent ring ({} events, {dropped} overwritten):",
         events.len()
     );
-    println!("  steps spanned     : {}", summary.steps_spanned);
-    println!("  dispatches        : {}", summary.dispatches);
-    println!("  cache accesses    : {}", summary.cache_accesses);
-    println!("    of which hits   : {}", summary.cache_hits);
-    println!("  backtracks        : {}", summary.backtracks);
-    println!("  governor checks   : {}", summary.governor_checks);
+    for kind in EventKind::ALL {
+        let count = events.iter().filter(|e| e.kind == kind).count();
+        println!("  {:<18}: {count}", kind.to_string());
+    }
 
-    // 2. Export as JSON lines and load it back — bit-identical.
-    let mut encoded = Vec::new();
-    save_events(&events, &mut encoded).expect("in-memory export cannot fail");
-    let loaded = load_events(encoded.as_slice())?;
-    assert_eq!(events, loaded, "export -> load round trip");
-    let first = String::from_utf8_lossy(&encoded);
-    println!(
-        "\nJSON-lines export ({} bytes), first record:",
-        encoded.len()
-    );
-    println!("  {}", first.lines().next().unwrap_or("<empty>"));
-
-    // 3. The metrics snapshot: live counters plus mirrors of the
+    // 2. The metrics snapshot: live counters plus mirrors of the
     //    single-source tallies the tables are generated from.
     let stats = machine.stats();
     let m = machine.metrics_snapshot();

@@ -4,15 +4,12 @@
 //! [`MachineStats`] (including cache and work-file counters, since
 //! fork shares only *immutable* state), and the same zero
 //! hot-path-allocation guarantee — across the whole Table 1 suite, in
-//! both execution lanes and both indexing profiles. The snapshot
-//! round trip (`psi_tools::snapshot`) must preserve the same
-//! bit-identity through serialization.
+//! both execution lanes and both indexing profiles.
 
 use psi::kl0::Program;
 use psi::psi_cache::CacheConfig;
 use psi::psi_core::Measurement;
 use psi::psi_machine::{Machine, MachineConfig, MachineStats};
-use psi::psi_tools::snapshot::{restore, snapshot};
 use psi::psi_workloads::suite::table1_suite;
 use psi::psi_workloads::Workload;
 
@@ -143,42 +140,6 @@ fn fork_with_cache_changes_geometry_but_not_answers() {
         "{}: a 64-word cache should stall more than the stock 8KW one",
         w.name
     );
-}
-
-/// Snapshot → restore → fork preserves bit-identity on a real Table 1
-/// row: the restored template's fork runs exactly like a fork of the
-/// original.
-#[test]
-fn snapshot_round_trip_preserves_fork_bit_identity() {
-    let entry = &table1_suite()[0];
-    let w = &entry.workload;
-    let program = Program::parse(&w.source).unwrap();
-    let template = Machine::load(&program, MachineConfig::psi_indexed()).unwrap();
-
-    let line = snapshot(&template, &w.source).unwrap();
-    let restored = restore(&line).unwrap();
-    assert!(restored.is_pristine());
-
-    let mut from_original = template.fork().unwrap();
-    let mut from_restored = restored.fork().unwrap();
-    let (a_solutions, a_stats) = run_goal(&mut from_original, w);
-    let (b_solutions, b_stats) = run_goal(&mut from_restored, w);
-    assert_eq!(a_solutions, b_solutions, "{}", w.name);
-    assert_eq!(a_stats, b_stats, "{}", w.name);
-}
-
-#[test]
-fn snapshot_version_mismatch_is_a_typed_error_not_a_panic() {
-    let entry = &table1_suite()[0];
-    let w = &entry.workload;
-    let program = Program::parse(&w.source).unwrap();
-    let template = Machine::load(&program, MachineConfig::psi()).unwrap();
-    let line = snapshot(&template, &w.source).unwrap();
-    let wrong = line.replace("psi-snapshot-v1", "psi-snapshot-v2");
-    let err = restore(&wrong).unwrap_err();
-    assert_eq!(err.wire_kind(), "snapshot");
-    assert_eq!(err.wire_code(), 11);
-    assert!(err.to_string().contains("psi-snapshot-v2"), "{err}");
 }
 
 /// Satellite of the sweep engine: `fork_with_cache` must honor the

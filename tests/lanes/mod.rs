@@ -1,7 +1,7 @@
-//! Lane-equivalence checks shared by `tests/two_lane.rs` and
-//! `tests/three_lane.rs`. Each check runs the fidelity lane
-//! (`MachineConfig::psi()`) as the reference and compares it with
-//! every named fast-lane configuration it is given.
+//! Lane-equivalence checks behind `tests/two_lane.rs`. Each check
+//! runs the fidelity lane (`MachineConfig::psi()`) as the reference
+//! and compares it with every named fast-lane configuration it is
+//! given.
 //!
 //! Quantities that exist *only* to be measured — work-file access
 //! counts (Table 6), cache statistics (Tables 3–5), stall time — are
