@@ -5,8 +5,7 @@
 //! root.
 //!
 //! Usage: `cargo run --release -p psi-bench --bin sweepbench --
-//! [--quick] [--mode fork|replay|fresh] [--threads N] [--shard I/N]
-//! [--cells DIR] [--limit N] [--compare-fresh] [--out PATH]`
+//! [--quick] [--mode fork|replay] [--threads N] [--out PATH]`
 //!
 //! or: `sweepbench diff OLD.json NEW.json` — compare two sweep
 //! reports cell by cell on the deterministic fields (outcome, steps,
@@ -17,30 +16,21 @@
 //! {4,8}-word blocks × both write policies on the fidelity lane, with
 //! linear, indexed and governed machine configurations, over four
 //! workloads, plus the fast lane (linear and indexed) on the stock
-//! geometry. `--quick` shrinks it to a seconds-scale smoke grid for
-//! CI.
+//! geometry. `--quick` shrinks it to a seconds-scale grid.
 //!
-//! `--cells DIR` persists every completed cell as one flat-JSON file
-//! under its content-addressed key; a restarted sweep with the same
-//! directory resumes, skipping completed cells byte-identically.
-//! `--shard i/n` runs only the cells whose grid index ≡ i (mod n) —
-//! shards are disjoint and union to the full grid. `--limit N` stops
-//! after N computed cells (testing aid: simulates a killed run).
+//! `--mode fork` (the default) forks every cell from one consulted
+//! template per plane; `--mode replay` replays one captured trace per
+//! fidelity plane through every geometry, the Figure 1 method. The
+//! two agree on every field `diff` compares.
 //!
-//! `--compare-fresh` runs the same grid a second time in `fresh` mode
-//! (per-cell re-parse and re-consult — the pre-engine behaviour) and
-//! verifies both runs agree bit-for-bit on every deterministic field.
-//!
-//! Exits nonzero if any cell's outcome is not ok, if the
-//! `--compare-fresh` cross-check drifts, or on a malformed
+//! Exits nonzero if any cell's outcome is not ok, or on a malformed
 //! invocation.
 
-use psi_bench::drift::{diff_command, diff_reports};
+use psi_bench::drift::diff_command;
 use psi_bench::sweep::{
     run_sweep, ConfigPoint, GeometryAxis, Lane, SweepMode, SweepOptions, SweepSpec, SWEEP_DIFF,
 };
 use psi_cache::WritePolicy;
-use psi_tools::json::parse_report;
 use psi_workloads::{contest, parsers, window};
 use std::process::ExitCode;
 
@@ -96,7 +86,7 @@ fn default_spec() -> SweepSpec {
     }
 }
 
-/// The CI smoke grid: two workloads, two configuration points, four
+/// The quick grid: two workloads, two configuration points, four
 /// geometries — small enough to finish in seconds, wide enough to
 /// touch every engine path (fidelity + fast lane, both ways counts).
 fn quick_spec() -> SweepSpec {
@@ -125,15 +115,6 @@ fn quick_spec() -> SweepSpec {
     }
 }
 
-fn parse_shard(spec: &str) -> Option<(usize, usize)> {
-    let (i, n) = spec.split_once('/')?;
-    let (i, n) = (i.parse().ok()?, n.parse().ok()?);
-    if n == 0 || i >= n {
-        return None;
-    }
-    Some((i, n))
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("diff") {
@@ -142,20 +123,17 @@ fn main() -> ExitCode {
 
     let mut quick = false;
     let mut options = SweepOptions::default();
-    let mut compare_fresh = false;
     let mut out_path: Option<String> = None;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" => quick = true,
-            "--compare-fresh" => compare_fresh = true,
             "--mode" => match it.next().as_deref() {
                 Some("fork") => options.mode = SweepMode::Fork,
                 Some("replay") => options.mode = SweepMode::Replay,
-                Some("fresh") => options.mode = SweepMode::Fresh,
                 other => {
                     eprintln!(
-                        "sweepbench: --mode requires fork|replay|fresh (got {})",
+                        "sweepbench: --mode requires fork|replay (got {})",
                         other.unwrap_or("nothing")
                     );
                     return ExitCode::FAILURE;
@@ -165,27 +143,6 @@ fn main() -> ExitCode {
                 Some(n) if n > 0 => options.threads = n,
                 _ => {
                     eprintln!("sweepbench: --threads requires a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--shard" => match it.next().as_deref().and_then(parse_shard) {
-                Some(s) => options.shard = Some(s),
-                None => {
-                    eprintln!("sweepbench: --shard requires I/N with I < N (e.g. 0/2)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--cells" => match it.next() {
-                Some(dir) => options.cell_dir = Some(dir.into()),
-                None => {
-                    eprintln!("sweepbench: --cells requires a directory");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--limit" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => options.limit = Some(n),
-                None => {
-                    eprintln!("sweepbench: --limit requires a cell count");
                     return ExitCode::FAILURE;
                 }
             },
@@ -199,8 +156,7 @@ fn main() -> ExitCode {
             other => {
                 eprintln!("sweepbench: unknown argument `{other}`");
                 eprintln!(
-                    "usage: sweepbench [--quick] [--mode fork|replay|fresh] [--threads N] \
-                     [--shard I/N] [--cells DIR] [--limit N] [--compare-fresh] [--out PATH]\n\
+                    "usage: sweepbench [--quick] [--mode fork|replay] [--threads N] [--out PATH]\n\
                      \u{20}      sweepbench diff OLD.json NEW.json"
                 );
                 return ExitCode::FAILURE;
@@ -231,33 +187,6 @@ fn main() -> ExitCode {
         options.threads,
     );
     let report = run_sweep(&spec, &options);
-
-    if compare_fresh {
-        // The per-cell re-consult baseline must agree with the engine
-        // bit-for-bit on every deterministic field. It never touches
-        // the cell directory (resume would let it skip its own work).
-        let fresh = run_sweep(
-            &spec,
-            &SweepOptions {
-                mode: SweepMode::Fresh,
-                cell_dir: None,
-                ..options.clone()
-            },
-        );
-        let parse = |r: &psi_bench::sweep::SweepReport| {
-            parse_report(&r.to_json()).expect("a sweep report parses back")
-        };
-        let diff = diff_reports(&parse(&report), &parse(&fresh), &SWEEP_DIFF)
-            .expect("a sweep report has a keyed cells array");
-        if diff.has_drift() {
-            eprintln!(
-                "sweepbench: {} run disagrees with the fresh baseline:\n{}",
-                report.mode,
-                diff.render()
-            );
-            return ExitCode::FAILURE;
-        }
-    }
 
     print!("{}", report.render());
     if let Err(e) = std::fs::write(path, report.to_json()) {

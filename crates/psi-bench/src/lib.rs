@@ -483,7 +483,7 @@ pub fn table7_report() -> String {
 /// 13-geometry replay grid over the WINDOW workload. The cap-8192
 /// cell doubles as the two-set and store-in study values
 /// ([`psi_cache::CacheConfig::psi_two_set_8k`] *is* the stock
-/// geometry), so nothing is replayed twice. Byte-identical to the
+/// geometry), so each geometry is replayed once. Byte-identical to the
 /// pre-engine direct `pmms::geometry_sweep` output — the engine's
 /// replay cells go through the same [`psi_tools::pmms`] math.
 pub fn figure1_report() -> String {

@@ -7,9 +7,9 @@
 //! × ways × block × write policy × write-stack handling) × **machine
 //! configuration** (clause indexing, execution lane, governor budget)
 //! × **workload**, executed in parallel with work stealing over
-//! cells, sharded across hosts, and resumable.
+//! cells.
 //!
-//! Three properties make a 500+-cell grid cheap:
+//! Two properties make a 500+-cell grid cheap:
 //!
 //! * **Fork templating** ([`SweepMode::Fork`]) — all cells on the
 //!   same (workload, machine-config) *plane* are served by
@@ -21,11 +21,6 @@
 //!   (the trace is a pure function of execution, not of cache
 //!   geometry), reusing the PMMS machinery; proven bit-identical to
 //!   the live forked path.
-//! * **Resume and sharding** — with a cell directory configured,
-//!   every completed cell persists as one flat-JSON file under a
-//!   content-addressed key derived from the full cell spec; a
-//!   restarted sweep skips present cells byte-identically, and
-//!   `--shard i/n` splits a grid across hosts with no overlap.
 //!
 //! Fault isolation rides the same substrate as the suite runner: each
 //! cell is contained per item ([`par_map_catch`]), so one exhausted,
@@ -41,13 +36,11 @@ use psi_cache::{CacheConfig, WritePolicy};
 use psi_core::{Measurement, PsiError, Resource};
 use psi_machine::{Machine, MachineConfig};
 use psi_mem::TraceEntry;
-use psi_tools::json::{parse_object, JsonObject, ObjectBuilder, ReportBuilder};
+use psi_tools::json::{ObjectBuilder, ReportBuilder};
 use psi_tools::pmms;
 use psi_workloads::runner::{default_parallelism, par_map_catch};
 use psi_workloads::Workload;
 use std::fmt::Write as _;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 // ------------------------------------------------------------------
@@ -145,17 +138,6 @@ pub struct GeometryAxis {
 }
 
 impl GeometryAxis {
-    /// Only the PSI cache as shipped — a single-geometry axis.
-    pub fn psi_only() -> GeometryAxis {
-        GeometryAxis {
-            capacities: vec![8192],
-            ways: vec![2],
-            block_words: vec![4],
-            policies: vec![WritePolicy::StoreIn],
-            write_stack_no_fetch: vec![true],
-        }
-    }
-
     /// Expands the cross product into concrete configurations (in
     /// capacity-major order), returning the valid ones plus the count
     /// of filtered-out invalid combinations.
@@ -207,7 +189,7 @@ pub fn geometry_is_valid(c: &CacheConfig) -> bool {
 /// the collapsed cell count is reported, never silently dropped.
 #[derive(Debug, Clone)]
 pub struct SweepSpec {
-    /// Grid name (report header, default cell-directory name).
+    /// Grid name (report header).
     pub name: String,
     /// Workload axis.
     pub workloads: Vec<Workload>,
@@ -288,9 +270,6 @@ pub enum SweepMode {
     /// trace through each geometry (the Figure 1 method). Fast-lane
     /// planes have no trace and fall back to forking.
     Replay,
-    /// Re-parse and re-consult per cell — the pre-engine behaviour,
-    /// kept as the baseline the fork path is measured against.
-    Fresh,
 }
 
 impl SweepMode {
@@ -299,7 +278,6 @@ impl SweepMode {
         match self {
             SweepMode::Fork => "fork",
             SweepMode::Replay => "replay",
-            SweepMode::Fresh => "fresh",
         }
     }
 }
@@ -311,17 +289,6 @@ pub struct SweepOptions {
     pub threads: usize,
     /// Cell production strategy.
     pub mode: SweepMode,
-    /// `Some((i, n))` runs only cells whose grid index ≡ i (mod n) —
-    /// the multi-host split. Shards are disjoint and union to the
-    /// full grid.
-    pub shard: Option<(usize, usize)>,
-    /// Directory for per-cell flat-JSON files. `Some` enables
-    /// skip-if-present resume; `None` keeps the sweep in memory.
-    pub cell_dir: Option<PathBuf>,
-    /// Stop after this many *computed* (not resumed) cells. Used by
-    /// the resumability tests to simulate a killed sweep; `None` runs
-    /// everything.
-    pub limit: Option<usize>,
 }
 
 impl Default for SweepOptions {
@@ -329,9 +296,6 @@ impl Default for SweepOptions {
         SweepOptions {
             threads: default_parallelism(),
             mode: SweepMode::Fork,
-            shard: None,
-            cell_dir: None,
-            limit: None,
         }
     }
 }
@@ -342,7 +306,7 @@ impl Default for SweepOptions {
 
 /// One completed cell. Every field except `engine` is deterministic —
 /// [`SWEEP_DIFF`] names the ones the diff compares.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct CellResult {
     /// Content-addressed cell key ([`cell_key`]).
     pub key: String,
@@ -379,19 +343,14 @@ pub struct CellResult {
     pub hit_pct: Option<f64>,
     /// Figure 1 improvement ratio (%); `None` off the fidelity lane.
     pub improvement_pct: Option<f64>,
-    /// How the cell was produced: fork / replay / fresh.
+    /// How the cell was produced: fork / replay.
     pub engine: String,
 }
 
 impl CellResult {
-    /// Serializes the cell as one flat JSON line (the per-cell file
-    /// format and the `cells` array entry of `BENCH_sweep.json`).
-    /// `None` float fields are omitted — absence encodes "not
-    /// measured" in the flat codec.
-    pub fn to_json_line(&self) -> String {
-        self.to_object().finish()
-    }
-
+    /// The cell as one flat object of the `cells` array of
+    /// `BENCH_sweep.json`. `None` float fields are omitted — absence
+    /// encodes "not measured" in the flat codec.
     fn to_object(&self) -> ObjectBuilder {
         let mut b = ObjectBuilder::new()
             .str("key", &self.key)
@@ -420,41 +379,6 @@ impl CellResult {
         }
         b.str("engine", &self.engine)
     }
-
-    /// Parses a cell back from its JSON line; `None` when the line is
-    /// not a well-formed cell (a truncated file from a killed run is
-    /// recomputed rather than trusted).
-    pub fn from_json_line(line: &str) -> Option<CellResult> {
-        CellResult::from_object(&parse_object(line).ok()?)
-    }
-
-    fn from_object(obj: &JsonObject) -> Option<CellResult> {
-        let opt_f64 = |key: &str| obj.get(key).and_then(|v| v.as_f64());
-        Some(CellResult {
-            key: obj.str_field("key").ok()?.to_owned(),
-            workload: obj.str_field("workload").ok()?.to_owned(),
-            config: obj.str_field("config").ok()?.to_owned(),
-            lane: obj.str_field("lane").ok()?.to_owned(),
-            indexing: obj.get("indexing")?.as_bool()?,
-            capacity: obj.u64_field("capacity").ok()? as u32,
-            ways: obj.u64_field("ways").ok()? as u32,
-            block: obj.u64_field("block").ok()? as u32,
-            policy: obj.str_field("policy").ok()?.to_owned(),
-            write_stack: obj.get("write_stack")?.as_bool()?,
-            outcome: obj.str_field("outcome").ok()?.to_owned(),
-            detail: obj
-                .get("detail")
-                .and_then(|v| v.as_str())
-                .unwrap_or("")
-                .to_owned(),
-            steps: obj.u64_field("steps").ok()?,
-            time_ns: obj.u64_field("time_ns").ok()?,
-            solutions: obj.u64_field("solutions").ok()?,
-            hit_pct: opt_f64("hit_pct"),
-            improvement_pct: opt_f64("improvement_pct"),
-            engine: obj.str_field("engine").ok()?.to_owned(),
-        })
-    }
 }
 
 /// Per-plane summary: one line per (workload, configuration) pair
@@ -465,7 +389,7 @@ pub struct PlaneSummary {
     pub workload: String,
     /// Configuration point name.
     pub config: String,
-    /// How the plane served its cells: fork / replay / fresh / broken.
+    /// How the plane served its cells: fork / replay / broken.
     pub engine: String,
     /// Captured trace length (replay planes; 0 otherwise).
     pub trace_len: u64,
@@ -475,7 +399,7 @@ pub struct PlaneSummary {
 }
 
 /// Schema tag of the `BENCH_sweep.json` report.
-pub const SWEEP_SCHEMA: &str = "psi-sweep-v2";
+pub const SWEEP_SCHEMA: &str = "psi-sweep-v3";
 
 /// The deterministic fields of a sweep report's `cells`, keyed by the
 /// content-addressed cell key. The producing engine is deliberately
@@ -494,7 +418,7 @@ pub const SWEEP_DIFF: DiffSpec = DiffSpec {
     strings: &["outcome"],
 };
 
-/// A full sweep run: the sharded cell results in grid order plus the
+/// A full sweep run: the cell results in grid order plus the
 /// bookkeeping the report serializes.
 #[derive(Debug, Clone)]
 pub struct SweepReport {
@@ -502,8 +426,6 @@ pub struct SweepReport {
     pub grid: String,
     /// Mode label of the run.
     pub mode: String,
-    /// Shard of the grid this run covered.
-    pub shard: Option<(usize, usize)>,
     /// Axis sizes: workloads, configs, geometries.
     pub axes: (usize, usize, usize),
     /// Geometry-axis cross-product combinations filtered as invalid.
@@ -513,12 +435,6 @@ pub struct SweepReport {
     pub collapsed_fast_lane_cells: usize,
     /// Cell results, in grid order.
     pub cells: Vec<CellResult>,
-    /// Cells computed by this run.
-    pub computed: usize,
-    /// Cells resumed byte-identically from the cell directory.
-    pub resumed: usize,
-    /// Cells left unrun by [`SweepOptions::limit`].
-    pub unrun: usize,
     /// Per-plane summaries.
     pub planes: Vec<PlaneSummary>,
 }
@@ -529,9 +445,9 @@ impl SweepReport {
         self.cells.iter().filter(|c| c.outcome == label).count()
     }
 
-    /// Did every cell in this shard complete ok?
+    /// Did every cell complete ok?
     pub fn all_ok(&self) -> bool {
-        self.unrun == 0 && self.outcome_count("ok") == self.cells.len()
+        self.outcome_count("ok") == self.cells.len()
     }
 
     /// Serializes the report (schema [`SWEEP_SCHEMA`]) through the
@@ -541,11 +457,7 @@ impl SweepReport {
     pub fn to_json(&self) -> String {
         let mut r = ReportBuilder::new(SWEEP_SCHEMA)
             .str("grid", &self.grid)
-            .str("mode", &self.mode);
-        if let Some((i, n)) = self.shard {
-            r = r.str("shard", &format!("{i}/{n}"));
-        }
-        r = r
+            .str("mode", &self.mode)
             .u64("workloads", self.axes.0 as u64)
             .u64("configs", self.axes.1 as u64)
             .u64("geometries", self.axes.2 as u64)
@@ -554,10 +466,7 @@ impl SweepReport {
                 "collapsed_fast_lane_cells",
                 self.collapsed_fast_lane_cells as u64,
             )
-            .u64("cells_total", self.cells.len() as u64)
-            .u64("computed", self.computed as u64)
-            .u64("resumed", self.resumed as u64)
-            .u64("unrun", self.unrun as u64);
+            .u64("cells_total", self.cells.len() as u64);
         for label in ["ok", "exhausted", "timed_out", "failed", "panicked"] {
             r = r.u64(label, self.outcome_count(label) as u64);
         }
@@ -579,25 +488,16 @@ impl SweepReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "sweep '{}' [{}]: {} cells ({} computed, {} resumed{}) — {} ok, {} exhausted, {} timed out, {} failed, {} panicked",
+            "sweep '{}' [{}]: {} cells — {} ok, {} exhausted, {} timed out, {} failed, {} panicked",
             self.grid,
             self.mode,
             self.cells.len(),
-            self.computed,
-            self.resumed,
-            match self.shard {
-                Some((i, n)) => format!(", shard {i}/{n}"),
-                None => String::new(),
-            },
             self.outcome_count("ok"),
             self.outcome_count("exhausted"),
             self.outcome_count("timed_out"),
             self.outcome_count("failed"),
             self.outcome_count("panicked"),
         );
-        if self.unrun > 0 {
-            let _ = writeln!(out, "  {} cells left unrun by --limit", self.unrun);
-        }
         if self.invalid_geometries > 0 {
             let _ = writeln!(
                 out,
@@ -633,8 +533,6 @@ enum PlaneCtx {
         solutions: u64,
         cycle_ns: u64,
     },
-    /// Cells consult for themselves.
-    Fresh,
     /// Plane setup failed; every cell degrades with this reason.
     Broken(String),
 }
@@ -688,8 +586,8 @@ fn blank_cell(task: &CellTask, spec: &SweepSpec, engine: &str) -> CellResult {
     }
 }
 
-/// Fills the measurement fields of a live (fork/fresh) cell from the
-/// machine that ran it.
+/// Fills the measurement fields of a forked cell from the machine
+/// that ran it.
 fn fill_from_machine(cell: &mut CellResult, m: &Machine, solutions: usize, config: &ConfigPoint) {
     let stats = m.stats();
     cell.steps = stats.steps;
@@ -710,10 +608,9 @@ fn fill_from_machine(cell: &mut CellResult, m: &Machine, solutions: usize, confi
 }
 
 /// Runs one sweep. Cells are expanded in deterministic grid order
-/// (workload-major, then configuration, then geometry), sharded,
-/// resumed from the cell directory when possible, and the remainder
-/// executed in parallel with work stealing; each cell is
-/// fault-isolated, so one bad cell degrades one cell.
+/// (workload-major, then configuration, then geometry) and executed
+/// in parallel with work stealing; each cell is fault-isolated, so
+/// one bad cell degrades one cell.
 pub fn run_sweep(spec: &SweepSpec, options: &SweepOptions) -> SweepReport {
     let psi_geometry = CacheConfig::psi();
 
@@ -743,92 +640,38 @@ pub fn run_sweep(spec: &SweepSpec, options: &SweepOptions) -> SweepReport {
         }
     }
 
-    // --- shard ----------------------------------------------------
-    let tasks: Vec<CellTask> = match options.shard {
-        Some((i, n)) if n > 1 => tasks
-            .into_iter()
-            .enumerate()
-            .filter(|(idx, _)| idx % n == i)
-            .map(|(_, t)| t)
-            .collect(),
-        _ => tasks,
-    };
-
-    if let Some(dir) = &options.cell_dir {
-        // A first failure here will surface as per-cell write errors;
-        // creating the directory is best-effort by design.
-        let _ = std::fs::create_dir_all(dir);
-    }
-
     // --- plane contexts (lazy, shared across workers) -------------
     let plane_ctx: Vec<OnceLock<PlaneCtx>> = (0..planes.len()).map(|_| OnceLock::new()).collect();
     let build_plane = |plane: usize| -> PlaneCtx {
         let (wi, ci) = planes[plane];
         let w = &spec.workloads[wi];
         let c = &spec.configs[ci];
-        let mode = if options.mode == SweepMode::Replay && c.lane != Lane::Fidelity {
-            // No trace exists off the fidelity lane; fork instead.
-            SweepMode::Fork
-        } else {
-            options.mode
+        // No trace exists off the fidelity lane, so those planes fork.
+        if options.mode == SweepMode::Replay && c.lane == Lane::Fidelity {
+            let mut config = c.machine_config(psi_geometry);
+            config.trace_memory = true;
+            return match psi_workloads::runner::run_on_psi_machine(w, config) {
+                Ok((run, mut machine)) => PlaneCtx::Replay {
+                    trace: machine.take_trace(),
+                    steps: run.stats.steps,
+                    solutions: run.solutions.len() as u64,
+                    cycle_ns: machine.config().cycle_ns,
+                },
+                Err(e) => PlaneCtx::Broken(e.to_string()),
+            };
+        }
+        let program = match kl0::Program::parse(&w.source) {
+            Ok(p) => p,
+            Err(e) => return PlaneCtx::Broken(e.to_string()),
         };
-        match mode {
-            SweepMode::Fresh => PlaneCtx::Fresh,
-            SweepMode::Fork => {
-                let program = match kl0::Program::parse(&w.source) {
-                    Ok(p) => p,
-                    Err(e) => return PlaneCtx::Broken(e.to_string()),
-                };
-                match Machine::load(&program, c.machine_config(psi_geometry)) {
-                    Ok(template) => PlaneCtx::Fork(Box::new(template)),
-                    Err(e) => PlaneCtx::Broken(e.to_string()),
-                }
-            }
-            SweepMode::Replay => {
-                let mut config = c.machine_config(psi_geometry);
-                config.trace_memory = true;
-                match psi_workloads::runner::run_on_psi_machine(w, config) {
-                    Ok((run, mut machine)) => PlaneCtx::Replay {
-                        trace: machine.take_trace(),
-                        steps: run.stats.steps,
-                        solutions: run.solutions.len() as u64,
-                        cycle_ns: machine.config().cycle_ns,
-                    },
-                    Err(e) => PlaneCtx::Broken(e.to_string()),
-                }
-            }
+        match Machine::load(&program, c.machine_config(psi_geometry)) {
+            Ok(template) => PlaneCtx::Fork(Box::new(template)),
+            Err(e) => PlaneCtx::Broken(e.to_string()),
         }
     };
 
     // --- execute --------------------------------------------------
-    let computed = AtomicUsize::new(0);
-    let resumed = AtomicUsize::new(0);
-    let run_cell = |task: &CellTask| -> Option<CellResult> {
-        // Resume: a present, well-formed cell file with the right key
-        // is reused verbatim and never rewritten (byte-identical
-        // skip).
-        if let Some(dir) = &options.cell_dir {
-            let path = dir.join(format!("{}.json", task.key));
-            if let Ok(text) = std::fs::read_to_string(&path) {
-                if let Some(cell) = CellResult::from_json_line(text.trim_end()) {
-                    if cell.key == task.key {
-                        resumed.fetch_add(1, Ordering::Relaxed);
-                        return Some(cell);
-                    }
-                }
-            }
-        }
-        if let Some(limit) = options.limit {
-            // Claim a computation slot; give it back on overshoot so
-            // exactly `limit` cells compute.
-            if computed.fetch_add(1, Ordering::Relaxed) >= limit {
-                computed.fetch_sub(1, Ordering::Relaxed);
-                return None;
-            }
-        } else {
-            computed.fetch_add(1, Ordering::Relaxed);
-        }
-
+    let run_cell = |task: &CellTask| -> CellResult {
         let ctx = plane_ctx[task.plane].get_or_init(|| build_plane(task.plane));
         let config = &spec.configs[task.config];
         let workload = &spec.workloads[task.workload];
@@ -868,74 +711,31 @@ pub fn run_sweep(spec: &SweepSpec, options: &SweepOptions) -> SweepReport {
                 cell.time_ns = time;
                 cell.solutions = *solutions;
                 cell.hit_pct = stats.hit_ratio_pct();
-                cell.improvement_pct = Some(pmms::improvement_ratio_pct(
-                    trace,
-                    task.geometry,
-                    *cycle_ns,
+                cell.improvement_pct = Some(pmms::improvement_from_run(
                     *steps,
+                    time,
+                    trace.len() as u64,
+                    *cycle_ns,
+                    task.geometry,
                 ));
             }
-            PlaneCtx::Fresh => {
-                cell = blank_cell(task, spec, "fresh");
-                let mut config_m = config.machine_config(task.geometry);
-                config_m.cache = Some(task.geometry);
-                match psi_workloads::runner::run_on_psi(workload, config_m) {
-                    Ok(run) => {
-                        cell.steps = run.stats.steps;
-                        cell.time_ns = run.stats.time_ns;
-                        cell.solutions = run.solutions.len() as u64;
-                        if config.lane == Lane::Fidelity {
-                            cell.hit_pct = run.stats.cache.hit_ratio_pct();
-                            cell.improvement_pct = Some(pmms::improvement_from_run(
-                                run.stats.steps,
-                                run.stats.time_ns,
-                                run.stats.cache.total().accesses(),
-                                MachineConfig::psi().cycle_ns,
-                                task.geometry,
-                            ));
-                        }
-                    }
-                    Err(e) => {
-                        let (label, detail) = outcome_of(&e);
-                        cell.outcome = label.to_owned();
-                        cell.detail = detail;
-                    }
-                }
-            }
         }
-
-        if let Some(dir) = &options.cell_dir {
-            // Atomic-ish publish: a killed run leaves either nothing
-            // or a complete file, never a half-written cell that a
-            // resume would trust.
-            let tmp = dir.join(format!("{}.json.tmp", task.key));
-            let path = dir.join(format!("{}.json", task.key));
-            let body = format!("{}\n", cell.to_json_line());
-            if std::fs::write(&tmp, body)
-                .and_then(|()| std::fs::rename(&tmp, &path))
-                .is_err()
-            {
-                cell.detail = format!("{} (cell file write failed)", cell.detail);
-            }
-        }
-        Some(cell)
+        cell
     };
 
     let slots = par_map_catch(&tasks, options.threads, |_, task| run_cell(task));
-    let mut cells = Vec::with_capacity(tasks.len());
-    let mut unrun = 0usize;
-    for (task, slot) in tasks.iter().zip(slots) {
-        match slot {
-            Ok(Some(cell)) => cells.push(cell),
-            Ok(None) => unrun += 1,
-            Err(panic_msg) => {
+    let cells: Vec<CellResult> = tasks
+        .iter()
+        .zip(slots)
+        .map(|(task, slot)| {
+            slot.unwrap_or_else(|panic_msg| {
                 let mut cell = blank_cell(task, spec, options.mode.label());
                 cell.outcome = "panicked".to_owned();
                 cell.detail = panic_msg;
-                cells.push(cell);
-            }
-        }
-    }
+                cell
+            })
+        })
+        .collect();
 
     let plane_summaries: Vec<PlaneSummary> = planes
         .iter()
@@ -945,7 +745,6 @@ pub fn run_sweep(spec: &SweepSpec, options: &SweepOptions) -> SweepReport {
             let (engine, trace_len, steps) = match ctx {
                 PlaneCtx::Fork(_) => ("fork", 0, 0),
                 PlaneCtx::Replay { trace, steps, .. } => ("replay", trace.len() as u64, *steps),
-                PlaneCtx::Fresh => ("fresh", 0, 0),
                 PlaneCtx::Broken(_) => ("broken", 0, 0),
             };
             Some(PlaneSummary {
@@ -961,7 +760,6 @@ pub fn run_sweep(spec: &SweepSpec, options: &SweepOptions) -> SweepReport {
     SweepReport {
         grid: spec.name.clone(),
         mode: options.mode.label().to_owned(),
-        shard: options.shard,
         axes: (
             spec.workloads.len(),
             spec.configs.len(),
@@ -970,9 +768,6 @@ pub fn run_sweep(spec: &SweepSpec, options: &SweepOptions) -> SweepReport {
         invalid_geometries: 0,
         collapsed_fast_lane_cells: collapsed,
         cells,
-        computed: computed.load(Ordering::Relaxed),
-        resumed: resumed.load(Ordering::Relaxed),
-        unrun,
         planes: plane_summaries,
     }
 }
@@ -1035,7 +830,7 @@ mod tests {
     }
 
     #[test]
-    fn fork_replay_and_fresh_agree_on_deterministic_fields() {
+    fn fork_and_replay_agree_on_deterministic_fields() {
         let spec = tiny_spec();
         let fork = run_sweep(
             &spec,
@@ -1051,62 +846,12 @@ mod tests {
                 ..SweepOptions::default()
             },
         );
-        let fresh = run_sweep(
-            &spec,
-            &SweepOptions {
-                mode: SweepMode::Fresh,
-                ..SweepOptions::default()
-            },
+        let diff = diff(&fork, &replay);
+        assert!(
+            !diff.has_drift(),
+            "modes must agree bit-for-bit:\n{}",
+            diff.render()
         );
-        for other in [&replay, &fresh] {
-            let diff = diff(&fork, other);
-            assert!(
-                !diff.has_drift(),
-                "modes must agree bit-for-bit:\n{}",
-                diff.render()
-            );
-        }
-    }
-
-    #[test]
-    fn shards_partition_the_grid() {
-        let spec = tiny_spec();
-        let full = run_sweep(&spec, &SweepOptions::default());
-        let shard = |i: usize| {
-            run_sweep(
-                &spec,
-                &SweepOptions {
-                    shard: Some((i, 2)),
-                    ..SweepOptions::default()
-                },
-            )
-        };
-        let (s0, s1) = (shard(0), shard(1));
-        let mut union: Vec<&CellResult> = s0.cells.iter().chain(&s1.cells).collect();
-        assert_eq!(union.len(), full.cells.len());
-        union.sort_by(|a, b| a.key.cmp(&b.key));
-        union.dedup_by(|a, b| a.key == b.key);
-        assert_eq!(union.len(), full.cells.len(), "shards must not overlap");
-        let shard_cells: Vec<CellResult> = s0.cells.iter().chain(&s1.cells).cloned().collect();
-        let merged = SweepReport {
-            cells: shard_cells,
-            ..full.clone()
-        };
-        let diff = diff(&full, &merged);
-        assert!(!diff.has_drift(), "{}", diff.render());
-    }
-
-    #[test]
-    fn cell_json_line_round_trips() {
-        let spec = tiny_spec();
-        let report = run_sweep(&spec, &SweepOptions::default());
-        for cell in &report.cells {
-            let line = cell.to_json_line();
-            let back = CellResult::from_json_line(&line).expect("parse back");
-            assert_eq!(&back, cell, "{line}");
-        }
-        assert!(CellResult::from_json_line("{\"key\":\"abc\"}").is_none());
-        assert!(CellResult::from_json_line("not json").is_none());
     }
 
     #[test]
@@ -1151,7 +896,6 @@ mod tests {
 
     #[test]
     fn governed_config_point_reports_exhaustion_as_one_cell() {
-        let (geometries, _) = GeometryAxis::psi_only().expand();
         let spec = SweepSpec {
             name: "governed".into(),
             workloads: vec![contest::nreverse(20)],
@@ -1161,7 +905,7 @@ mod tests {
                 clause_indexing: false,
                 max_steps: Some(10),
             }],
-            geometries,
+            geometries: vec![CacheConfig::psi()],
         };
         let report = run_sweep(&spec, &SweepOptions::default());
         assert_eq!(report.cells.len(), 1);

@@ -187,10 +187,11 @@ fn server_archive_has_nineteen_rows() {
 #[test]
 fn sweep_archive_has_584_cells() {
     let report = archive("BENCH_sweep.json");
-    assert_eq!(
-        str_of(&report.header, "schema"),
-        psi_bench::sweep::SWEEP_SCHEMA
-    );
+    assert_eq!(str_of(&report.header, "schema"), "psi-sweep-v3");
+    // sweep-v3 dropped the resume and shard bookkeeping.
+    for key in ["computed", "resumed", "unrun"] {
+        assert!(report.header.get(key).is_none(), "header key `{key}`");
+    }
     assert_eq!(report.header.u64_field("cells_total").unwrap(), 584);
     assert_eq!(report.array("cells").unwrap().len(), 584);
     assert_no_wall_fields(&report);

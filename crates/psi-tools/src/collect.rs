@@ -1,146 +1,13 @@
-//! COLLECT: trace capture and persistence.
+//! COLLECT: trace summaries.
 //!
 //! The paper's COLLECT ran in the console processor, single-stepping
 //! the CPU and dumping "microinstruction addresses and the contents of
 //! registers or memory... onto a flexible disk each time the CPU
-//! stopped". Our equivalent captures the memory-access trace from the
-//! simulator ([`psi_mem::TraceEntry`]) and serializes it to JSON.
+//! stopped". Our equivalent is the simulator's in-memory memory-access
+//! trace ([`psi_mem::TraceEntry`], from `Machine::take_trace`), which
+//! PMMS replays directly; this module summarizes it.
 
-use psi_core::{PsiError, Result};
 use psi_mem::TraceEntry;
-use std::io::{Read, Write};
-
-use psi_cache::CacheCommand as Cmd;
-
-fn command_label(c: Cmd) -> &'static str {
-    match c {
-        Cmd::Read => "read",
-        Cmd::Write => "write",
-        Cmd::WriteStack => "write_stack",
-    }
-}
-
-fn command_from_label(s: &str) -> Option<Cmd> {
-    match s {
-        "read" => Some(Cmd::Read),
-        "write" => Some(Cmd::Write),
-        "write_stack" => Some(Cmd::WriteStack),
-        _ => None,
-    }
-}
-
-fn io_err(e: std::io::Error) -> PsiError {
-    PsiError::Compile {
-        detail: format!("trace serialization failed: {e}"),
-    }
-}
-
-fn parse_err(detail: impl Into<String>) -> PsiError {
-    PsiError::Compile {
-        detail: format!("trace deserialization failed: {}", detail.into()),
-    }
-}
-
-/// Serializes a trace to a writer as JSON (remember a `&mut` writer
-/// can be passed). Each entry becomes
-/// `{"step":N,"command":"read","address":RAW}` where `RAW` is the
-/// packed logical address ([`psi_core::Address::raw`]).
-///
-/// # Errors
-///
-/// Returns [`PsiError::Compile`] wrapping serialization failures.
-pub fn save_trace<W: Write>(trace: &[TraceEntry], mut writer: W) -> Result<()> {
-    let mut out = String::with_capacity(trace.len() * 48 + 2);
-    out.push('[');
-    for (i, e) in trace.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"step\":{},\"command\":\"{}\",\"address\":{}}}",
-            e.step,
-            command_label(e.command),
-            e.address.raw()
-        ));
-    }
-    out.push(']');
-    writer.write_all(out.as_bytes()).map_err(io_err)
-}
-
-/// Deserializes a trace from a reader (a `&mut` reader works too).
-/// Accepts exactly the format [`save_trace`] produces.
-///
-/// # Errors
-///
-/// Returns [`PsiError::Compile`] wrapping deserialization failures.
-pub fn load_trace<R: Read>(mut reader: R) -> Result<Vec<TraceEntry>> {
-    let mut text = String::new();
-    reader
-        .read_to_string(&mut text)
-        .map_err(|e| parse_err(e.to_string()))?;
-    let body = text.trim();
-    let inner = body
-        .strip_prefix('[')
-        .and_then(|s| s.strip_suffix(']'))
-        .ok_or_else(|| parse_err("expected a JSON array"))?
-        .trim();
-    let mut entries = Vec::new();
-    if inner.is_empty() {
-        return Ok(entries);
-    }
-    // Objects are flat (no nested braces), so splitting on "}" is safe.
-    for obj in inner.split('}') {
-        let obj = obj.trim_start_matches([',', ' ', '\n', '\t']).trim();
-        if obj.is_empty() {
-            continue;
-        }
-        let obj = obj
-            .strip_prefix('{')
-            .ok_or_else(|| parse_err("expected an object"))?;
-        let mut step = None;
-        let mut command = None;
-        let mut address = None;
-        for field in obj.split(',') {
-            let (key, value) = field
-                .split_once(':')
-                .ok_or_else(|| parse_err(format!("malformed field `{field}`")))?;
-            match key.trim().trim_matches('"') {
-                "step" => {
-                    step = Some(
-                        value
-                            .trim()
-                            .parse::<u64>()
-                            .map_err(|e| parse_err(e.to_string()))?,
-                    )
-                }
-                "command" => {
-                    let label = value.trim().trim_matches('"');
-                    command =
-                        Some(command_from_label(label).ok_or_else(|| {
-                            parse_err(format!("unknown cache command `{label}`"))
-                        })?);
-                }
-                "address" => {
-                    let raw = value
-                        .trim()
-                        .parse::<u32>()
-                        .map_err(|e| parse_err(e.to_string()))?;
-                    address = Some(
-                        psi_core::Address::from_raw(raw)
-                            .ok_or_else(|| parse_err(format!("invalid packed address {raw}")))?,
-                    );
-                }
-                other => return Err(parse_err(format!("unknown key `{other}`"))),
-            }
-        }
-        entries.push(TraceEntry {
-            step: step.ok_or_else(|| parse_err("missing step"))?,
-            command: command.ok_or_else(|| parse_err("missing command"))?,
-            address: address.ok_or_else(|| parse_err("missing address"))?,
-        });
-    }
-    Ok(entries)
-}
 
 /// Summary statistics of a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,15 +65,6 @@ mod tests {
                 address: Address::new(ProcessId::ZERO, Area::Heap, i as u32),
             })
             .collect()
-    }
-
-    #[test]
-    fn roundtrip_through_json() {
-        let trace = sample();
-        let mut buf = Vec::new();
-        save_trace(&trace, &mut buf).unwrap();
-        let loaded = load_trace(buf.as_slice()).unwrap();
-        assert_eq!(trace, loaded);
     }
 
     #[test]

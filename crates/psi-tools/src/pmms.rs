@@ -34,25 +34,16 @@ pub fn replay(
     (*cache.stats(), time)
 }
 
-/// The paper's Figure 1 metric:
-/// `performance improvement ratio = (Tnc/Tc − 1) × 100`, where `Tnc`
-/// is the execution time without cache and `Tc` with the given cache.
+/// The paper's Figure 1 metric for one replay of `trace` through
+/// `config` (see [`improvement_from_run`]).
 pub fn improvement_ratio_pct(
     trace: &[TraceEntry],
     config: CacheConfig,
     cycle_ns: u64,
     total_steps: u64,
 ) -> f64 {
-    let miss_extra = config.miss_extra_ns();
     let (_, tc) = replay(trace, config, cycle_ns, total_steps);
-    if tc == 0 {
-        // An empty trace of a zero-step run has no execution time to
-        // improve; without this guard the 0/0 below would yield NaN
-        // and poison the Figure 1 output.
-        return 0.0;
-    }
-    let tnc = total_steps * cycle_ns + trace.len() as u64 * miss_extra;
-    (tnc as f64 / tc as f64 - 1.0) * 100.0
+    improvement_from_run(total_steps, tc, trace.len() as u64, cycle_ns, config)
 }
 
 /// The Figure 1 capacity axis: 8 W – 8 KW by powers of two ("other
@@ -61,80 +52,30 @@ pub fn figure1_capacities() -> Vec<u32> {
     (0..11).map(|i| 8u32 << i).collect() // 8 .. 8192
 }
 
-/// Runs one closure per item on up to `threads` scoped workers,
-/// handing items out through a shared atomic cursor (work stealing:
-/// long cells never serialize short ones behind them) and returning
-/// the results **in input order**. `threads <= 1` maps on the calling
-/// thread with no scaffolding. [`geometry_sweep`] is a thin wrapper
-/// over it.
-///
-/// # Panics
-///
-/// Propagates a panicking cell from the calling thread. The batch
-/// engine in `psi-bench` layers per-cell panic containment on top;
-/// the in-process sweeps here are expected to be infallible.
-pub fn sweep_cells<T, U, F>(items: &[T], threads: usize, cell: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    let threads = threads.clamp(1, items.len().max(1));
-    if threads <= 1 {
-        return items.iter().map(cell).collect();
-    }
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<U>> = (0..items.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut done = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else {
-                            return done;
-                        };
-                        done.push((i, cell(item)));
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, value) in handle.join().expect("sweep worker panicked") {
-                slots[i] = Some(value);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every cell computed"))
-        .collect()
-}
-
 /// Replays one trace through every configuration in `configs` (each
 /// on its own independent [`Cache`]) and returns the improvement
-/// ratio per configuration, in input order. Over
-/// [`figure1_capacities`] it is Figure 1; it is also the batch sweep
-/// engine's replay plane.
+/// ratio per configuration, in input order, on the calling thread.
+/// Over [`figure1_capacities`] it is Figure 1. `_threads` is ignored;
+/// it stays so existing callers keep compiling.
 pub fn geometry_sweep(
     trace: &[TraceEntry],
     configs: &[CacheConfig],
     cycle_ns: u64,
     total_steps: u64,
-    threads: usize,
+    _threads: usize,
 ) -> Vec<f64> {
-    sweep_cells(configs, threads, |config| {
-        improvement_ratio_pct(trace, *config, cycle_ns, total_steps)
-    })
+    configs
+        .iter()
+        .map(|config| improvement_ratio_pct(trace, *config, cycle_ns, total_steps))
+        .collect()
 }
 
-/// The paper's Figure 1 metric computed from a *live* run instead of
-/// a replayed trace: `Tc` is the run's simulated time, `Tnc` prices
-/// every cache access at the miss premium on top of the stall-free
-/// step time. The batch sweep engine's fork cells use it, so a live
-/// cell and a replayed one derive the ratio from the same formula.
+/// The paper's Figure 1 metric:
+/// `performance improvement ratio = (Tnc/Tc − 1) × 100`, where `Tc`
+/// is the run's simulated time `time_ns` with the cache and `Tnc`
+/// prices every cache access at the miss premium on top of the
+/// stall-free step time. Live (forked) runs and trace replays both
+/// derive the ratio here.
 pub fn improvement_from_run(
     steps: u64,
     time_ns: u64,
@@ -143,6 +84,9 @@ pub fn improvement_from_run(
     config: CacheConfig,
 ) -> f64 {
     if time_ns == 0 {
+        // A zero-step run with an empty trace has no execution time
+        // to improve; without this guard the 0/0 below would yield
+        // NaN and poison the Figure 1 output.
         return 0.0;
     }
     let tnc = steps * cycle_ns + cache_accesses * config.miss_extra_ns();
@@ -220,7 +164,7 @@ mod tests {
             .into_iter()
             .map(CacheConfig::psi_with_capacity)
             .collect();
-        geometry_sweep(t, &configs, 200, total_steps, 2)
+        geometry_sweep(t, &configs, 200, total_steps, 1)
     }
 
     #[test]

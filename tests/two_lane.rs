@@ -18,8 +18,8 @@ use psi::kl0::Program;
 use psi::psi_machine::{Machine, MachineConfig};
 use psi::psi_obs::Counter;
 
-fn fast() -> [Lane; 1] {
-    [("fast", MachineConfig::psi_compiled())]
+fn fast() -> Lane {
+    ("fast", MachineConfig::psi_compiled())
 }
 
 #[test]
