@@ -209,6 +209,27 @@ impl Cache {
         }
     }
 
+    /// Does `addr`'s block sit in slot 0 of its set, as the set's most
+    /// recently used line? An access to it would then be a hit that
+    /// changes nothing but the statistics and the clock.
+    #[inline]
+    pub fn is_mru(&self, addr: Address) -> bool {
+        let (set, tag) = self.set_and_tag(addr);
+        self.lines[set * self.ways] & !DIRTY == u64::from(tag) << 2 | VALID
+    }
+
+    /// Marks the most recently used line of `addr`'s set dirty and
+    /// returns whether it already was. The caller has checked
+    /// [`Cache::is_mru`] for `addr`.
+    #[inline]
+    pub fn mark_mru_dirty(&mut self, addr: Address) -> bool {
+        let (set, _) = self.set_and_tag(addr);
+        let line = &mut self.lines[set * self.ways];
+        let was_dirty = *line & DIRTY != 0;
+        *line |= DIRTY;
+        was_dirty
+    }
+
     /// The set index and tag of `addr`: its block number modulo and
     /// divided by the set count.
     #[inline]

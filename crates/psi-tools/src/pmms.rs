@@ -9,7 +9,8 @@
 //! ratio (Figure 1) and the §4.2 associativity and write-policy
 //! studies.
 
-use psi_cache::{Cache, CacheConfig, CacheStats};
+use psi_cache::{Cache, CacheConfig, CacheStats, WritePolicy};
+use psi_core::{Area, AREA_COUNT};
 use psi_mem::TraceEntry;
 
 /// Replays a trace through a cache configuration, advancing the cache
@@ -21,17 +22,148 @@ pub fn replay(
     cycle_ns: u64,
     total_steps: u64,
 ) -> (CacheStats, u64) {
-    let mut cache = Cache::new(config);
-    let mut stall = 0u64;
+    replay_chain(trace, &[config], cycle_ns, total_steps)[0]
+}
+
+/// One cache of a [`replay_chain`], with its lazily advanced clock.
+struct Member {
+    cache: Cache,
+    /// The shared clock value the cache's own clock has caught up to.
+    synced_ns: u64,
+    /// The cache's own stalls so far.
+    stall_ns: u64,
+}
+
+/// Replays a trace through a *chain* of caches in one pass and returns
+/// what [`replay`] returns for each member, in chain order.
+///
+/// A chain is a list of store-in geometries that are identical except
+/// for capacity, in strictly ascending capacity; a chain of one may be
+/// any geometry, store-through included. The Figure 1 capacities form
+/// one chain.
+///
+/// Each access walks the chain from the smallest cache and gives each
+/// member an ordinary [`Cache::access`] until it reaches the first
+/// member whose set already holds the block as its most recently used
+/// (MRU) line, and stops there. The skipped members are exact, by
+/// three facts about the chain:
+///
+/// * **MRU inclusion.** Same ways and block size with power-of-two set
+///   counts means each set of a larger member holds a subset of the
+///   blocks that map to one set of a smaller member. Store-in allocates
+///   on every access and LRU orders by last use, so a block that was
+///   touched last among its small set's blocks was touched last among
+///   its large set's blocks too: it is MRU there (Mattson et al. 1970;
+///   Hill & Smith 1989). An access to an MRU block under store-in is a
+///   hit with no stall that moves no line, so every larger member would
+///   only count a hit. Store-through writes do not allocate and cost
+///   memory time even on a hit, hence the store-in precondition.
+/// * **Dirty inclusion.** A larger member has held the block at least
+///   since the smaller one filled it, and a line is cleaned only by its
+///   eviction, so a line dirty in a smaller member is dirty in every
+///   larger one. A write at the exit therefore marks the MRU line dirty
+///   upward through the chain and stops at the first member whose line
+///   already was.
+/// * **Lazy clock.** A skipped hit adds `hit_ns` to a member's clock and
+///   touches nothing else. Each member's clock is the shared elapsed
+///   time (step gaps plus one `hit_ns` per access) plus its own stalls,
+///   so before a full access it is advanced by the shared time passed
+///   since its last one, and memory-busy waits come out as in [`replay`].
+///
+/// Skipped hits are counted per (exit member, area, command) and folded
+/// into each member's [`CacheStats`] by prefix sum at the end, since an
+/// exit at member `j` is a hit in every member from `j` on.
+///
+/// The exit index of an access is the smallest capacity in the chain at
+/// which its block is MRU.
+///
+/// # Panics
+///
+/// Panics if `chain` is not a chain, or a geometry is invalid.
+pub fn replay_chain(
+    trace: &[TraceEntry],
+    chain: &[CacheConfig],
+    cycle_ns: u64,
+    total_steps: u64,
+) -> Vec<(CacheStats, u64)> {
+    for w in chain.windows(2) {
+        let same_but_capacity = CacheConfig {
+            capacity_words: w[1].capacity_words,
+            ..w[0]
+        } == w[1];
+        assert!(
+            w[0].policy == WritePolicy::StoreIn
+                && same_but_capacity
+                && w[0].capacity_words < w[1].capacity_words,
+            "not a chain of store-in capacities: {:?} then {:?}",
+            w[0],
+            w[1]
+        );
+    }
+    let Some(first) = chain.first() else {
+        return Vec::new();
+    };
+    let hit_ns = first.hit_ns;
+    let exits = first.policy == WritePolicy::StoreIn;
+    let mut members: Vec<Member> = chain
+        .iter()
+        .map(|&config| Member {
+            cache: Cache::new(config),
+            synced_ns: 0,
+            stall_ns: 0,
+        })
+        .collect();
+    let mut skipped = vec![[[0u64; 3]; AREA_COUNT]; chain.len()];
+    let mut shared_ns = 0u64;
     let mut prev_step = 0u64;
     for e in trace {
-        let gap = e.step.saturating_sub(prev_step);
+        shared_ns += e.step.saturating_sub(prev_step) * cycle_ns;
         prev_step = e.step;
-        cache.advance(gap * cycle_ns);
-        stall += cache.access(e.command, e.address).stall_ns;
+        let mut exit = None;
+        for (i, m) in members.iter_mut().enumerate() {
+            if exits && m.cache.is_mru(e.address) {
+                exit = Some(i);
+                break;
+            }
+            m.cache.advance(shared_ns - m.synced_ns);
+            m.stall_ns += m.cache.access(e.command, e.address).stall_ns;
+            m.synced_ns = shared_ns + hit_ns;
+        }
+        if let Some(i) = exit {
+            skipped[i][e.address.area().index()][e.command.code() as usize] += 1;
+            if e.command.is_write() {
+                for m in &mut members[i..] {
+                    if m.cache.mark_mru_dirty(e.address) {
+                        break;
+                    }
+                }
+            }
+        }
+        shared_ns += hit_ns;
     }
-    let time = total_steps * cycle_ns + stall;
-    (*cache.stats(), time)
+
+    let mut exited = [[0u64; 3]; AREA_COUNT];
+    members
+        .iter()
+        .zip(&skipped)
+        .map(|(m, skipped)| {
+            let mut stats = *m.cache.stats();
+            for (a, area) in Area::ALL.into_iter().enumerate() {
+                let [reads, writes, write_stacks] = &mut exited[a];
+                *reads += skipped[a][0];
+                *writes += skipped[a][1];
+                *write_stacks += skipped[a][2];
+                let c = stats.area_mut(area);
+                c.reads += *reads;
+                c.read_hits += *reads;
+                c.writes += *writes;
+                c.write_hits += *writes;
+                c.write_stacks += *write_stacks;
+                c.write_stack_hits += *write_stacks;
+            }
+            (stats, total_steps * cycle_ns + m.stall_ns)
+        })
+        .collect()
 }
 
 /// The paper's Figure 1 metric for one replay of `trace` through
@@ -52,11 +184,12 @@ pub fn figure1_capacities() -> Vec<u32> {
     (0..11).map(|i| 8u32 << i).collect() // 8 .. 8192
 }
 
-/// Replays one trace through every configuration in `configs` (each
-/// on its own independent [`Cache`]) and returns the improvement
-/// ratio per configuration, in input order, on the calling thread.
-/// Over [`figure1_capacities`] it is Figure 1. `_threads` is ignored;
-/// it stays so existing callers keep compiling.
+/// Replays one trace through every configuration in `configs` and
+/// returns the improvement ratio per configuration, in input order, on
+/// the calling thread. Store-in configurations that differ only in
+/// capacity share one [`replay_chain`] pass; duplicates are replayed
+/// once. Over [`figure1_capacities`] it is Figure 1. `_threads` is
+/// ignored; it stays so existing callers keep compiling.
 pub fn geometry_sweep(
     trace: &[TraceEntry],
     configs: &[CacheConfig],
@@ -64,10 +197,41 @@ pub fn geometry_sweep(
     total_steps: u64,
     _threads: usize,
 ) -> Vec<f64> {
-    configs
-        .iter()
-        .map(|config| improvement_ratio_pct(trace, *config, cycle_ns, total_steps))
-        .collect()
+    // A store-through configuration is a chain of its own.
+    let chain_key = |c: &CacheConfig| CacheConfig {
+        capacity_words: if c.policy == WritePolicy::StoreIn {
+            0
+        } else {
+            c.capacity_words
+        },
+        ..*c
+    };
+    let mut chains: Vec<Vec<CacheConfig>> = Vec::new();
+    for c in configs {
+        match chains
+            .iter_mut()
+            .find(|ch| chain_key(&ch[0]) == chain_key(c))
+        {
+            Some(ch) if ch.contains(c) => {}
+            Some(ch) => ch.push(*c),
+            None => chains.push(vec![*c]),
+        }
+    }
+    let mut ratios = vec![0.0; configs.len()];
+    for mut chain in chains {
+        chain.sort_by_key(|c| c.capacity_words);
+        let runs = replay_chain(trace, &chain, cycle_ns, total_steps);
+        for (config, (_, time)) in chain.iter().zip(runs) {
+            let ratio =
+                improvement_from_run(total_steps, time, trace.len() as u64, cycle_ns, *config);
+            for (slot, c) in ratios.iter_mut().zip(configs) {
+                if c == config {
+                    *slot = ratio;
+                }
+            }
+        }
+    }
+    ratios
 }
 
 /// The paper's Figure 1 metric:
@@ -124,7 +288,7 @@ pub fn policy_study(trace: &[TraceEntry], cycle_ns: u64, total_steps: u64) -> (f
 mod tests {
     use super::*;
     use psi_cache::CacheCommand;
-    use psi_core::{Address, Area, ProcessId};
+    use psi_core::{Address, ProcessId};
 
     /// A looping trace with strong locality plus occasional far
     /// accesses.

@@ -11,7 +11,7 @@
 use crate::Workload;
 use dec10::{DecConfig, DecMachine, DecStats};
 use kl0::Program;
-use psi_core::{Measurement, PsiError, Resource, Result};
+use psi_core::{PsiError, Resource, Result};
 use psi_machine::{Machine, MachineConfig, MachineStats};
 use std::panic::{self, AssertUnwindSafe};
 use std::time::Duration;
@@ -78,7 +78,7 @@ pub fn run_on_psi_machine(w: &Workload, config: MachineConfig) -> Result<(PsiRun
     Ok((run, machine))
 }
 
-/// Default worker count for [`run_suite_parallel`]: the machine's
+/// Default worker count for [`SuiteOptions`]: the machine's
 /// available parallelism, or 1 if it cannot be determined.
 pub fn default_parallelism() -> usize {
     std::thread::available_parallelism()
@@ -461,52 +461,6 @@ where
         }
     });
     SuiteReport { rows }
-}
-
-/// Runs a whole suite on the PSI simulator in parallel, one fresh
-/// [`Machine`] per workload, with [`default_parallelism`] workers.
-///
-/// `lane` selects the execution lane for every machine in the suite
-/// (overriding `config.measurement`): [`Measurement::Full`] is the
-/// fidelity lane whose measurements feed Tables 2–7,
-/// [`Measurement::Off`] is the fast lane — same solutions and
-/// step totals, no cache/trace/event machinery.
-///
-/// Results come back ordered by workload index and are bit-identical
-/// to running each workload serially through [`run_on_psi`]: every
-/// workload gets its own machine, so no simulator state is shared
-/// between threads and the event counts feeding Tables 2–7 are
-/// unaffected by the parallelism. A panicking workload yields an
-/// `Err` with [`PsiError::WorkerPanic`] for its own row only; every
-/// other row still completes.
-pub fn run_suite_parallel(
-    workloads: &[Workload],
-    config: &MachineConfig,
-    lane: Measurement,
-) -> Vec<Result<PsiRun>> {
-    run_suite_parallel_with(workloads, config, lane, default_parallelism())
-}
-
-/// [`run_suite_parallel`] with an explicit worker count (1 = serial).
-pub fn run_suite_parallel_with(
-    workloads: &[Workload],
-    config: &MachineConfig,
-    lane: Measurement,
-    threads: usize,
-) -> Vec<Result<PsiRun>> {
-    let mut config = config.clone();
-    config.measurement = lane;
-    par_map_catch(workloads, threads, |_, w| run_on_psi(w, config.clone()))
-        .into_iter()
-        .zip(workloads)
-        .map(|(slot, w)| match slot {
-            Ok(result) => result,
-            Err(detail) => Err(PsiError::WorkerPanic {
-                context: format!("workload '{}' (goal {})", w.name, w.goal),
-                detail,
-            }),
-        })
-        .collect()
 }
 
 /// Runs a workload on the DEC-10 baseline.

@@ -4,6 +4,7 @@
 
 pub use dec10;
 pub use kl0;
+pub use psi_bench;
 pub use psi_cache;
 pub use psi_core;
 pub use psi_machine;

@@ -7,10 +7,10 @@
 //! indexed profile doing no more work than the linear one.
 
 use kl0::Program;
-use psi::psi_core::Measurement;
+use psi::kl0;
 use psi::psi_machine::{Machine, MachineConfig};
-use psi::psi_workloads::{runner, suite};
-use psi::{kl0, psi_core};
+use psi::psi_workloads::runner::{run_on_psi_machine, run_suite_governed, PsiRun, SuiteOptions};
+use psi::psi_workloads::{suite, Workload};
 
 fn machine(src: &str, config: MachineConfig) -> Machine {
     let program = Program::parse(src).unwrap();
@@ -26,6 +26,20 @@ fn solutions(src: &str, query: &str, config: MachineConfig) -> Vec<String> {
         .collect()
 }
 
+/// Runs `workloads` under the governed suite runner; every row must
+/// complete.
+fn suite_runs(workloads: &[Workload], config: &MachineConfig) -> Vec<PsiRun> {
+    run_suite_governed(workloads, config, &SuiteOptions::default())
+        .rows
+        .iter()
+        .map(|r| {
+            r.run()
+                .cloned()
+                .unwrap_or_else(|| panic!("{}: {}", r.name, r.describe()))
+        })
+        .collect()
+}
+
 /// Both profiles, side by side, for the same program and query.
 fn both(src: &str, query: &str) -> (Vec<String>, Vec<String>) {
     (
@@ -38,17 +52,10 @@ fn both(src: &str, query: &str) -> (Vec<String>, Vec<String>) {
 fn table1_suite_profiles_are_equivalent() {
     let entries = suite::table1_suite();
     let workloads: Vec<_> = entries.iter().map(|e| e.workload.clone()).collect();
-    let linear = runner::run_suite_parallel(&workloads, &MachineConfig::psi(), Measurement::Full);
-    let indexed =
-        runner::run_suite_parallel(&workloads, &MachineConfig::psi_indexed(), Measurement::Full);
+    let linear = suite_runs(&workloads, &MachineConfig::psi());
+    let indexed = suite_runs(&workloads, &MachineConfig::psi_indexed());
     for ((entry, lin), idx) in entries.iter().zip(&linear).zip(&indexed) {
         let name = &entry.workload.name;
-        let lin = lin
-            .as_ref()
-            .unwrap_or_else(|e| panic!("{name} linear: {e}"));
-        let idx = idx
-            .as_ref()
-            .unwrap_or_else(|e| panic!("{name} indexed: {e}"));
         assert_eq!(lin.solutions, idx.solutions, "{name}: profiles disagree");
         // The index probe itself costs microsteps (tag dispatch +
         // deref + compare), so a workload whose first arguments
@@ -80,12 +87,9 @@ fn indexing_reduces_work_measurably() {
     // less work in aggregate — not merely "no worse".
     let entries = suite::table1_suite();
     let workloads: Vec<_> = entries.iter().map(|e| e.workload.clone()).collect();
-    let linear = runner::run_suite_parallel(&workloads, &MachineConfig::psi(), Measurement::Full);
-    let indexed =
-        runner::run_suite_parallel(&workloads, &MachineConfig::psi_indexed(), Measurement::Full);
-    let sum = |runs: &[psi_core::Result<runner::PsiRun>], f: fn(&runner::PsiRun) -> u64| {
-        runs.iter().map(|r| f(r.as_ref().unwrap())).sum::<u64>()
-    };
+    let linear = suite_runs(&workloads, &MachineConfig::psi());
+    let indexed = suite_runs(&workloads, &MachineConfig::psi_indexed());
+    let sum = |runs: &[PsiRun], f: fn(&PsiRun) -> u64| runs.iter().map(f).sum::<u64>();
     let (lin_steps, idx_steps) = (
         sum(&linear, |r| r.stats.steps),
         sum(&indexed, |r| r.stats.steps),
@@ -108,7 +112,7 @@ fn indexing_reduces_work_measurably() {
 fn hot_path_stays_allocation_free_under_indexing() {
     for config in [MachineConfig::psi(), MachineConfig::psi_indexed()] {
         let w = psi::psi_workloads::contest::queens_all(6);
-        let (_, machine) = runner::run_on_psi_machine(&w, config).unwrap();
+        let (_, machine) = run_on_psi_machine(&w, config).unwrap();
         assert_eq!(machine.hot_path_alloc_count(), 0);
     }
 }

@@ -1,15 +1,32 @@
-//! The parallel suite runner must be an exact drop-in for the serial
+//! The governed suite runner must be an exact drop-in for the serial
 //! loop, and the interpreter hot path must not allocate: both claims
 //! are regression-tested here because the paper's tables depend on
 //! event-exact counters.
 
-use psi::psi_core::Measurement;
 use psi::psi_machine::{Machine, MachineConfig};
-use psi::psi_workloads::runner::{run_on_psi, run_suite_parallel_with};
+use psi::psi_workloads::runner::{run_on_psi, run_suite_governed, PsiRun, SuiteOptions};
 use psi::psi_workloads::suite::table1_suite;
 use psi::psi_workloads::Workload;
 
-/// `run_suite_parallel` must produce byte-identical solutions and
+/// Runs `workloads` under the governed suite runner on `threads`
+/// workers; every row must complete.
+fn governed(workloads: &[Workload], config: &MachineConfig, threads: usize) -> Vec<PsiRun> {
+    let options = SuiteOptions {
+        threads,
+        ..SuiteOptions::default()
+    };
+    run_suite_governed(workloads, config, &options)
+        .rows
+        .iter()
+        .map(|r| {
+            r.run()
+                .cloned()
+                .unwrap_or_else(|| panic!("{}: {}", r.name, r.describe()))
+        })
+        .collect()
+}
+
+/// `run_suite_governed` must produce byte-identical solutions and
 /// bit-identical statistics to running each workload serially: every
 /// workload gets a fresh machine, so parallelism must not perturb a
 /// single event counter feeding Tables 2–7.
@@ -22,11 +39,10 @@ fn parallel_suite_matches_serial_bit_for_bit() {
         .iter()
         .map(|w| run_on_psi(w, config.clone()).expect("serial run succeeds"))
         .collect();
-    let parallel = run_suite_parallel_with(&workloads, &config, Measurement::Full, 4);
+    let parallel = governed(&workloads, &config, 4);
 
     assert_eq!(serial.len(), parallel.len());
     for ((w, s), p) in workloads.iter().zip(&serial).zip(parallel) {
-        let p = p.expect("parallel run succeeds");
         assert_eq!(s.solutions, p.solutions, "{}: solutions differ", w.name);
         // MachineStats is integer counters throughout, so `==` is
         // bit-identity.
@@ -44,11 +60,10 @@ fn parallel_suite_is_thread_count_invariant() {
         .map(|e| e.workload)
         .collect();
     let config = MachineConfig::psi();
-    let one = run_suite_parallel_with(&workloads, &config, Measurement::Full, 1);
-    let many = run_suite_parallel_with(&workloads, &config, Measurement::Full, 8);
+    let one = governed(&workloads, &config, 1);
+    let many = governed(&workloads, &config, 8);
+    assert_eq!(one.len(), many.len());
     for (a, b) in one.into_iter().zip(many) {
-        let a = a.expect("runs succeed");
-        let b = b.expect("runs succeed");
         assert_eq!(a.solutions, b.solutions);
         assert_eq!(a.stats, b.stats);
     }

@@ -13,6 +13,10 @@ use psi::kl0::Program;
 use psi::psi_cache::{Cache, CacheCommand, CacheConfig, CacheStats, WritePolicy};
 use psi::psi_core::{Address, Area, ProcessId, AREA_COUNT};
 use psi::psi_machine::{Machine, MachineConfig};
+use psi::psi_mem::TraceEntry;
+use psi::psi_tools::pmms;
+use psi::psi_workloads::runner::run_on_psi_machine;
+use psi::psi_workloads::suite::hardware_suite;
 use std::collections::HashSet;
 
 /// xorshift64* — tiny, deterministic, good enough for test-case
@@ -497,6 +501,152 @@ fn single_set_hits_equal_stack_distance_profile() {
                 }
             }
         }
+    }
+}
+
+/// The plain per-geometry replay that [`pmms::replay_chain`] must
+/// reproduce: one cache, one full access per trace entry.
+fn replay_each(
+    trace: &[TraceEntry],
+    config: CacheConfig,
+    cycle_ns: u64,
+    total_steps: u64,
+) -> (CacheStats, u64) {
+    let mut cache = Cache::new(config);
+    let mut stall = 0;
+    let mut prev_step = 0;
+    for e in trace {
+        cache.advance(e.step.saturating_sub(prev_step) * cycle_ns);
+        prev_step = e.step;
+        stall += cache.access(e.command, e.address).stall_ns;
+    }
+    (*cache.stats(), total_steps * cycle_ns + stall)
+}
+
+fn assert_chain_matches(
+    trace: &[TraceEntry],
+    chain: &[CacheConfig],
+    cycle_ns: u64,
+    total_steps: u64,
+    what: &str,
+) {
+    let runs = pmms::replay_chain(trace, chain, cycle_ns, total_steps);
+    assert_eq!(runs.len(), chain.len(), "{what}");
+    for (config, run) in chain.iter().zip(runs) {
+        assert_eq!(
+            run,
+            replay_each(trace, *config, cycle_ns, total_steps),
+            "{what}: {config:?}"
+        );
+    }
+}
+
+/// A seeded [`cache_trace`] as a COLLECT trace at a 200 ns cycle,
+/// plus its total step count.
+fn collected_trace(rng: &mut Rng, capacity_words: u32, n: usize) -> (Vec<TraceEntry>, u64) {
+    let mut step = 0;
+    let trace = cache_trace(rng, capacity_words, n)
+        .into_iter()
+        .map(|(gap, command, address)| {
+            step += gap / 200;
+            TraceEntry {
+                step,
+                command,
+                address,
+            }
+        })
+        .collect();
+    (trace, step + 1)
+}
+
+fn figure1_chain() -> Vec<CacheConfig> {
+    pmms::figure1_capacities()
+        .into_iter()
+        .map(CacheConfig::psi_with_capacity)
+        .collect()
+}
+
+/// One pass over a chain of nested capacities gives every member the
+/// statistics and simulated time of its own full replay: on seeded
+/// traces over chains of 1, 2 and 4 ways, 4- and 8-word blocks and
+/// both write-stack policies, on a store-through chain of one, and on
+/// the hardware-suite traces over the Figure 1 chain. On those traces,
+/// a geometry sweep over a shuffled list with a duplicate and
+/// store-through members equals the per-configuration ratios in input
+/// order.
+#[test]
+fn replay_chain_matches_per_cache_replay() {
+    for seed in 0..4u64 {
+        let mut rng = Rng::new(seed ^ 0xc4a1);
+        let (trace, steps) = collected_trace(&mut rng, 64, 3000);
+        for ways in [1, 2, 4] {
+            for block_words in [4, 8] {
+                for write_stack_no_fetch in [true, false] {
+                    let chain: Vec<CacheConfig> = (0..8)
+                        .map(|i| CacheConfig {
+                            capacity_words: (block_words * ways) << i,
+                            ways,
+                            block_words,
+                            write_stack_no_fetch,
+                            ..CacheConfig::psi()
+                        })
+                        .collect();
+                    assert_chain_matches(&trace, &chain, 200, steps, &format!("seed {seed}"));
+                }
+            }
+        }
+        let through = CacheConfig {
+            capacity_words: 64,
+            ..CacheConfig::psi_store_through()
+        };
+        assert_chain_matches(&trace, &[through], 200, steps, &format!("seed {seed}"));
+    }
+
+    let chain = figure1_chain();
+    let mut config = MachineConfig::psi();
+    config.trace_memory = true;
+    for w in hardware_suite() {
+        let (run, mut machine) = run_on_psi_machine(&w, config.clone()).expect("runs");
+        let trace = machine.take_trace();
+        let cycle_ns = machine.config().cycle_ns;
+        assert_chain_matches(&trace, &chain, cycle_ns, run.stats.steps, &w.name);
+        if w.name == "BUP-3" {
+            // Its trace is 5.7M entries, ten times the other six
+            // together; the chain check above covers it.
+            continue;
+        }
+
+        let mut configs = vec![
+            chain[6],
+            CacheConfig::psi_store_through(),
+            chain[0],
+            CacheConfig::psi_direct_mapped_4k(),
+            chain[10],
+            chain[6],
+            CacheConfig {
+                capacity_words: 64,
+                write_stack_no_fetch: false,
+                ..CacheConfig::psi()
+            },
+            chain[3],
+            CacheConfig {
+                capacity_words: 64,
+                ..CacheConfig::psi_store_through()
+            },
+        ];
+        configs.extend(chain.iter().rev().step_by(3));
+        let steps = run.stats.steps;
+        let swept = pmms::geometry_sweep(&trace, &configs, cycle_ns, steps, 1);
+        let each: Vec<f64> = configs
+            .iter()
+            .map(|c| pmms::improvement_ratio_pct(&trace, *c, cycle_ns, steps))
+            .collect();
+        assert_eq!(
+            swept.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
+            each.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
+            "{}: {swept:?} vs {each:?}",
+            w.name
+        );
     }
 }
 
