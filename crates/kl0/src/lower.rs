@@ -15,7 +15,8 @@
 //! matches the DEC-10 semantics for `\+` and the condition of
 //! if-then-else.
 
-use crate::{Clause, PredicateKey, Program, Term};
+use crate::program::group_mut;
+use crate::{PredicateKey, Program, Term};
 use psi_core::{PsiError, Result};
 use std::collections::HashMap;
 
@@ -38,7 +39,7 @@ pub struct FlatClause {
 }
 
 /// A program in which every clause body is flat.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LoweredProgram {
     order: Vec<PredicateKey>,
     map: HashMap<PredicateKey, Vec<FlatClause>>,
@@ -86,15 +87,58 @@ impl LoweredProgram {
     ///
     /// See [`LoweredProgram::lower`].
     pub fn lower_from(program: &Program, aux_base: u32) -> Result<LoweredProgram> {
+        LoweredProgram::lower_clauses(
+            program
+                .predicates()
+                .flat_map(|key| program.clauses_for(key))
+                .map(|clause| (&clause.head, clause.body.as_ref())),
+            aux_base,
+        )
+    }
+
+    /// Lowers `(head, body)` clauses, in order, as one batch with the
+    /// aux-predicate counter seeded at `aux_base` (see
+    /// [`LoweredProgram::lower_from`]; `None` is a fact). Query
+    /// compilation and `assert` lower a single clause through here
+    /// without building a [`Program`] around it.
+    ///
+    /// ```
+    /// use kl0::{LoweredProgram, Program, Term};
+    ///
+    /// let head = Term::compound("p", vec![Term::var("X")]);
+    /// let body = kl0::parser::parse_term("(q(X) ; r(X))")?;
+    /// let direct = LoweredProgram::lower_clauses([(&head, Some(&body))], 0)?;
+    /// let via_program = LoweredProgram::lower(&Program::parse("p(X) :- (q(X) ; r(X)).")?)?;
+    /// assert_eq!(direct, via_program);
+    /// # Ok::<(), psi_core::PsiError>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// [`PsiError::Compile`] if a head is not callable, and see
+    /// [`LoweredProgram::lower`].
+    pub fn lower_clauses<'c>(
+        clauses: impl IntoIterator<Item = (&'c Term, Option<&'c Term>)>,
+        aux_base: u32,
+    ) -> Result<LoweredProgram> {
         let mut lp = LoweredProgram {
             aux_counter: aux_base,
             ..LoweredProgram::default()
         };
-        for key in program.predicates() {
-            for clause in program.clauses_for(key) {
-                let flat = lp.lower_clause(clause)?;
-                lp.push(flat);
+        for (head, body) in clauses {
+            if head.functor().is_none() {
+                return Err(PsiError::Compile {
+                    detail: format!("clause head is not callable: {head}"),
+                });
             }
+            let mut goals = Vec::new();
+            if let Some(body) = body {
+                lp.flatten(body, &mut goals)?;
+            }
+            lp.push(FlatClause {
+                head: head.clone(),
+                goals,
+            });
         }
         Ok(lp)
     }
@@ -128,23 +172,7 @@ impl LoweredProgram {
             .head
             .functor()
             .expect("flat clause heads are callable");
-        let key = (name.to_owned(), arity);
-        let entry = self.map.entry(key.clone()).or_default();
-        if entry.is_empty() {
-            self.order.push(key);
-        }
-        entry.push(clause);
-    }
-
-    fn lower_clause(&mut self, clause: &Clause) -> Result<FlatClause> {
-        let mut goals = Vec::new();
-        if let Some(body) = &clause.body {
-            self.flatten(body, &mut goals)?;
-        }
-        Ok(FlatClause {
-            head: clause.head.clone(),
-            goals,
-        })
+        group_mut(&mut self.order, &mut self.map, name, arity).push(clause);
     }
 
     fn flatten(&mut self, goal: &Term, out: &mut Vec<FlatGoal>) -> Result<()> {
@@ -187,19 +215,18 @@ impl LoweredProgram {
         }
     }
 
-    fn aux_head(&mut self, parts: &[&Term]) -> (Term, Vec<Term>) {
+    fn aux_head(&mut self, parts: &[&Term]) -> Term {
         self.aux_counter += 1;
         let name = format!("$aux{}", self.aux_counter);
-        let mut vars: Vec<Term> = Vec::new();
+        let mut vars: Vec<&str> = Vec::new();
         for part in parts {
             for v in part.variables() {
-                let t = Term::var(v);
-                if !vars.contains(&t) {
-                    vars.push(t);
+                if !vars.contains(&v) {
+                    vars.push(v);
                 }
             }
         }
-        (Term::compound(&name, vars.clone()), vars)
+        Term::compound(&name, vars.into_iter().map(Term::var).collect())
     }
 
     fn lower_if_then_else(
@@ -209,7 +236,7 @@ impl LoweredProgram {
         els: &Term,
         out: &mut Vec<FlatGoal>,
     ) -> Result<()> {
-        let (head, _) = self.aux_head(&[cond, then, els]);
+        let head = self.aux_head(&[cond, then, els]);
         // aux :- Cond, !, Then.
         let mut goals1 = Vec::new();
         self.flatten(cond, &mut goals1)?;
@@ -231,7 +258,7 @@ impl LoweredProgram {
     }
 
     fn lower_disjunction(&mut self, a: &Term, b: &Term, out: &mut Vec<FlatGoal>) -> Result<()> {
-        let (head, _) = self.aux_head(&[a, b]);
+        let head = self.aux_head(&[a, b]);
         for branch in [a, b] {
             let mut goals = Vec::new();
             self.flatten(branch, &mut goals)?;
@@ -245,7 +272,7 @@ impl LoweredProgram {
     }
 
     fn lower_negation(&mut self, inner: &Term, out: &mut Vec<FlatGoal>) -> Result<()> {
-        let (head, _) = self.aux_head(&[inner]);
+        let head = self.aux_head(&[inner]);
         // aux :- G, !, fail.
         let mut goals1 = Vec::new();
         self.flatten(inner, &mut goals1)?;
@@ -352,6 +379,87 @@ mod tests {
             .unwrap();
         let auxs = lp.clauses_for(&aux_key);
         assert_eq!(auxs[1].goals, vec![FlatGoal::Call(Term::atom("fail"))]);
+    }
+
+    /// Checks `(name, arity, clause count, first clause head)` of every
+    /// predicate, in order.
+    fn assert_shape(lp: &LoweredProgram, expect: &[(&str, usize, usize, &str)]) {
+        let shape: Vec<_> = lp
+            .predicates()
+            .map(|key| {
+                let clauses = lp.clauses_for(key);
+                (
+                    key.0.clone(),
+                    key.1,
+                    clauses.len(),
+                    clauses[0].head.to_string(),
+                )
+            })
+            .collect();
+        let expect: Vec<_> = expect
+            .iter()
+            .map(|&(n, a, c, h)| (n.to_owned(), a, c, h.to_owned()))
+            .collect();
+        assert_eq!(shape, expect);
+    }
+
+    fn lowered_query(goal: &str, aux_base: u32) -> LoweredProgram {
+        let goal = crate::parser::parse_term(goal).unwrap();
+        let vars = goal.variables().into_iter().map(Term::var).collect();
+        let head = Term::compound("$query1", vars);
+        LoweredProgram::lower_clauses([(&head, Some(&goal))], aux_base).unwrap()
+    }
+
+    #[test]
+    fn query_disjunction_keeps_aux_numbering_and_arguments() {
+        let lp = lowered_query("(a(X) ; b(Y) ; c(X, Y) ; d ; e(Z))", 4);
+        assert_eq!(lp.aux_counter(), 8);
+        assert_shape(
+            &lp,
+            &[
+                ("$aux5", 3, 2, "'$aux5'(X,Y,Z)"),
+                ("$aux6", 3, 2, "'$aux6'(Y,X,Z)"),
+                ("$aux7", 3, 2, "'$aux7'(X,Y,Z)"),
+                ("$aux8", 1, 2, "'$aux8'(Z)"),
+                ("$query1", 3, 1, "'$query1'(X,Y,Z)"),
+            ],
+        );
+    }
+
+    #[test]
+    fn query_if_then_else_keeps_aux_numbering_and_arguments() {
+        let lp = lowered_query("(X > Y -> Z = X ; \\+ Z = Y), w(Z)", 0);
+        assert_eq!(lp.aux_counter(), 2);
+        assert_shape(
+            &lp,
+            &[
+                ("$aux1", 3, 2, "'$aux1'(X,Y,Z)"),
+                ("$aux2", 2, 2, "'$aux2'(Z,Y)"),
+                ("$query1", 3, 1, "'$query1'(X,Y,Z)"),
+            ],
+        );
+    }
+
+    #[test]
+    fn one_clause_lowering_equals_lowering_a_program() {
+        for src in [
+            "p.",
+            "p(X, Y) :- q(X), !, r(Y).",
+            "p(X) :- (a(X) -> b ; c(X) ; \\+ d(X)), e.",
+        ] {
+            let program = Program::parse(src).unwrap();
+            let key = program.predicates().next().unwrap();
+            let clause = &program.clauses_for(key)[0];
+            let direct =
+                LoweredProgram::lower_clauses([(&clause.head, clause.body.as_ref())], 7).unwrap();
+            assert_eq!(
+                direct,
+                LoweredProgram::lower_from(&program, 7).unwrap(),
+                "{src}"
+            );
+        }
+        let not_callable = LoweredProgram::lower_clauses([(&Term::int(1), None)], 0);
+        assert!(not_callable.is_err());
     }
 
     #[test]

@@ -117,12 +117,13 @@ impl Parser {
         self.tokens.get(self.pos).map(|s| &s.token)
     }
 
+    /// Consumes the next token. The parser never rewinds, so the token
+    /// is moved out (leaving a placeholder whose position
+    /// `error_here` can still report) rather than cloned.
     fn bump(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).map(|s| s.token.clone());
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+        let spanned = self.tokens.get_mut(self.pos)?;
+        self.pos += 1;
+        Some(std::mem::replace(&mut spanned.token, Token::End))
     }
 
     fn error_here(&self, detail: impl Into<String>) -> PsiError {
@@ -184,8 +185,9 @@ impl Parser {
             if prec > max_prec {
                 break;
             }
-            let name = name.clone();
-            self.bump();
+            let Some(Token::Atom(name)) = self.bump() else {
+                break;
+            };
             let right_max = match kind {
                 InfixKind::Xfx | InfixKind::Yfx => prec - 1,
                 InfixKind::Xfy => prec,

@@ -37,6 +37,31 @@ impl Clause {
     }
 }
 
+/// The group of `name/arity` in a predicate-keyed map whose `order`
+/// lists its keys in first-insertion order, created empty (and its key
+/// appended to `order`) if absent. Clauses of one predicate are
+/// usually contiguous, so a group that is the newest in `order` is
+/// found without building its key.
+pub(crate) fn group_mut<'m, T>(
+    order: &mut Vec<PredicateKey>,
+    map: &'m mut HashMap<PredicateKey, Vec<T>>,
+    name: &str,
+    arity: usize,
+) -> &'m mut Vec<T> {
+    match order.last() {
+        Some(newest) if newest.0 == name && newest.1 == arity => map
+            .get_mut(newest)
+            .expect("every key in `order` has a group"),
+        _ => {
+            let key = (name.to_owned(), arity);
+            if !map.contains_key(&key) {
+                order.push(key.clone());
+            }
+            map.entry(key).or_default()
+        }
+    }
+}
+
 impl fmt::Display for Clause {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.body {
@@ -129,17 +154,12 @@ impl Program {
     /// Returns [`PsiError::Compile`] if the head is a variable or
     /// integer.
     pub fn add_clause(&mut self, clause: Clause) -> Result<()> {
-        if clause.head.functor().is_none() {
+        let Some((name, arity)) = clause.head.functor() else {
             return Err(PsiError::Compile {
                 detail: format!("clause head is not callable: {}", clause.head),
             });
-        }
-        let key = clause.key();
-        let entry = self.clauses.entry(key.clone()).or_default();
-        if entry.is_empty() {
-            self.order.push(key);
-        }
-        entry.push(clause);
+        };
+        group_mut(&mut self.order, &mut self.clauses, name, arity).push(clause);
         Ok(())
     }
 

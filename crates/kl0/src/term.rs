@@ -103,7 +103,7 @@ impl Term {
         let mut seen = BTreeSet::new();
         let mut out = Vec::new();
         self.visit_vars(&mut |name| {
-            if seen.insert(name.to_owned()) {
+            if seen.insert(name) {
                 out.push(name);
             }
         });
@@ -305,6 +305,15 @@ mod tests {
             ],
         );
         assert_eq!(t.variables(), vec!["B", "A"]);
+    }
+
+    #[test]
+    fn variables_skip_repeats_at_any_depth() {
+        let t =
+            crate::parser::parse_term("f(X, g(Y, h(X, Z)), [Z, W | Y], X, k(l(m(W, V))))").unwrap();
+        assert_eq!(t.variables(), vec!["X", "Y", "Z", "W", "V"]);
+        assert!(Term::atom("a").variables().is_empty());
+        assert_eq!(Term::var("X").variables(), vec!["X"]);
     }
 
     #[test]

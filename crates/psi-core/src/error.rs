@@ -118,15 +118,6 @@ pub enum PsiError {
         /// (may exceed `limit` by up to one check interval).
         consumed: u64,
     },
-    /// A worker thread panicked while running an isolated task; the
-    /// panic was contained by the suite runner and surfaced as this
-    /// per-task error instead of aborting the whole suite.
-    WorkerPanic {
-        /// What the worker was doing (workload name and goal).
-        context: String,
-        /// The panic payload, rendered to text.
-        detail: String,
-    },
     /// A syntax error from the KL0 reader.
     Syntax {
         /// Line number (1-based).
@@ -157,7 +148,7 @@ impl PsiError {
     /// wire. `psi-server` maps every error onto its JSON-lines
     /// protocol through this code (see PROTOCOL.md), so the values
     /// are append-only: new variants take new codes, existing codes
-    /// never change meaning, and retired codes (11) are never reused.
+    /// never change meaning, and retired codes (7, 11) are never reused.
     pub fn wire_code(&self) -> u32 {
         match self {
             PsiError::OutOfArea { .. } => 1,
@@ -166,7 +157,6 @@ impl PsiError {
             PsiError::TypeError { .. } => 4,
             PsiError::EvalError { .. } => 5,
             PsiError::ResourceExhausted { .. } => 6,
-            PsiError::WorkerPanic { .. } => 7,
             PsiError::Syntax { .. } => 8,
             PsiError::Compile { .. } => 9,
             PsiError::ForkAfterRun { .. } => 10,
@@ -184,7 +174,6 @@ impl PsiError {
             PsiError::TypeError { .. } => "type_error",
             PsiError::EvalError { .. } => "eval_error",
             PsiError::ResourceExhausted { .. } => "resource_exhausted",
-            PsiError::WorkerPanic { .. } => "worker_panic",
             PsiError::Syntax { .. } => "syntax",
             PsiError::Compile { .. } => "compile",
             PsiError::ForkAfterRun { .. } => "fork_after_run",
@@ -218,9 +207,6 @@ impl fmt::Display for PsiError {
                 f,
                 "resource budget exhausted: {consumed} {resource} consumed (limit {limit})"
             ),
-            PsiError::WorkerPanic { context, detail } => {
-                write!(f, "worker panicked running {context}: {detail}")
-            }
             PsiError::Syntax {
                 line,
                 column,
@@ -264,10 +250,6 @@ mod tests {
                 resource: Resource::Steps,
                 limit: 10,
                 consumed: 12,
-            },
-            PsiError::WorkerPanic {
-                context: "workload 'nreverse' (goal nrev([1], R))".into(),
-                detail: "index out of bounds".into(),
             },
             PsiError::Syntax {
                 line: 3,
@@ -327,10 +309,6 @@ mod tests {
                 limit: 1,
                 consumed: 2,
             },
-            PsiError::WorkerPanic {
-                context: "x".into(),
-                detail: "y".into(),
-            },
             PsiError::Syntax {
                 line: 1,
                 column: 1,
@@ -348,11 +326,13 @@ mod tests {
             assert!(!kind.is_empty());
             assert!(kind.chars().all(|c| c.is_ascii_lowercase() || c == '_'));
         }
-        // Codes 1..=10 are claimed, in variant declaration order;
-        // code 11 is retired.
+        // Codes 1..=10 are claimed, in variant declaration order,
+        // except the retired codes 7 and 11.
         assert_eq!(errors[0].wire_code(), 1);
-        assert_eq!(errors[8].wire_code(), 9);
-        assert_eq!(errors[9].wire_code(), 10);
+        assert_eq!(errors[5].wire_code(), 6);
+        assert_eq!(errors[6].wire_code(), 8);
+        assert_eq!(errors[8].wire_code(), 10);
+        assert!(!seen.contains(&7), "retired wire code 7 reused");
         assert!(!seen.contains(&11), "retired wire code 11 reused");
     }
 

@@ -25,7 +25,7 @@
 //! slot at run time.
 
 use crate::Builtin;
-use kl0::{ArgShape, FlatGoal, LoweredProgram, PredicateKey, Program, Term};
+use kl0::{ArgShape, FlatGoal, LoweredProgram, PredicateKey, Term};
 use psi_core::{Functor, PsiError, Result, SymbolTable, Tag, Word};
 use std::collections::HashMap;
 
@@ -263,7 +263,10 @@ pub struct QueryCode {
 pub struct CodeImage {
     heap: Vec<Word>,
     preds: Vec<Predicate>,
-    index: HashMap<PredicateKey, u32>,
+    /// Predicate ids by name, then arity: keyed by name alone so that
+    /// resolving a call looks up a borrowed `&str` and allocates
+    /// nothing.
+    index: HashMap<String, Vec<(usize, u32)>>,
     symbols: SymbolTable,
     query_counter: u32,
     aux_counter: u32,
@@ -309,7 +312,7 @@ impl CodeImage {
                     detail: format!("cannot redefine built-in {}/{}", key.0, key.1),
                 });
             }
-            self.pred_index(key)?;
+            self.pred_index(&key.0, key.1)?;
         }
         // Pass 2: compile clauses, growing each predicate's
         // first-argument index as its clauses are appended
@@ -318,7 +321,7 @@ impl CodeImage {
             for clause in program.clauses_for(key) {
                 let code = self.compile_clause(&clause.head, &clause.goals)?;
                 let index_key = self.first_arg_key(&clause.head);
-                let idx = self.pred_index(key)? as usize;
+                let idx = self.pred_index(&key.0, key.1)? as usize;
                 let pos = self.preds[idx].clauses.len() as u32;
                 self.preds[idx].clauses.push(code);
                 self.preds[idx].sources.push(ClauseSource {
@@ -353,15 +356,10 @@ impl CodeImage {
         let (name, arity) = head.functor().ok_or_else(|| PsiError::Compile {
             detail: format!("asserted clause head is not callable: {head}"),
         })?;
-        let key: PredicateKey = (name.to_owned(), arity);
-        let mut program = Program::new();
-        program.add_clause(kl0::Clause {
-            head: head.clone(),
-            body: (body.functor() != Some(("true", 0))).then(|| body.clone()),
-        })?;
-        let lowered = LoweredProgram::lower_from(&program, self.aux_counter)?;
+        let body = (body.functor() != Some(("true", 0))).then_some(body);
+        let lowered = LoweredProgram::lower_clauses([(head, body)], self.aux_counter)?;
         self.add_program(&lowered)?;
-        let idx = self.lookup(&key).ok_or_else(|| PsiError::Compile {
+        let idx = self.find(name, arity).ok_or_else(|| PsiError::Compile {
             detail: format!("asserted predicate {name}/{arity} missing after compilation"),
         })? as usize;
         if front && self.preds[idx].clauses.len() > 1 {
@@ -432,23 +430,16 @@ impl CodeImage {
             });
         }
         let head = Term::compound(&name, vars.iter().map(|v| Term::var(v)).collect());
-        let mut program = Program::new();
-        program.add_clause(kl0::Clause {
-            head,
-            body: Some(goal.clone()),
-        })?;
-        let lowered = LoweredProgram::lower_from(&program, self.aux_counter)?;
+        let lowered = LoweredProgram::lower_clauses([(&head, Some(goal))], self.aux_counter)?;
         self.add_program(&lowered)?;
         // The lookup follows a successful `add_program` for this very
         // predicate, so a miss means the image's predicate table is
         // inconsistent — surface it as a typed error rather than a
         // panic, since this path runs on every user query.
         let arity = vars.len();
-        let pred = self
-            .lookup(&(name.clone(), arity))
-            .ok_or_else(|| PsiError::Compile {
-                detail: format!("query entry predicate {name}/{arity} missing after compilation"),
-            })?;
+        let pred = self.find(&name, arity).ok_or_else(|| PsiError::Compile {
+            detail: format!("query entry predicate {name}/{arity} missing after compilation"),
+        })?;
         Ok(QueryCode { pred, vars })
     }
 
@@ -472,7 +463,15 @@ impl CodeImage {
 
     /// Looks up a predicate index.
     pub fn lookup(&self, key: &PredicateKey) -> Option<u32> {
-        self.index.get(key).copied()
+        self.find(&key.0, key.1)
+    }
+
+    fn find(&self, name: &str, arity: usize) -> Option<u32> {
+        let arities = self.index.get(name)?;
+        arities
+            .iter()
+            .find(|&&(a, _)| a == arity)
+            .map(|&(_, idx)| idx)
     }
 
     /// The predicate at `idx`.
@@ -490,25 +489,28 @@ impl CodeImage {
         &mut self.symbols
     }
 
-    fn pred_index(&mut self, key: &PredicateKey) -> Result<u32> {
-        if let Some(&idx) = self.index.get(key) {
+    fn pred_index(&mut self, name: &str, arity: usize) -> Result<u32> {
+        if let Some(idx) = self.find(name, arity) {
             return Ok(idx);
         }
-        if key.1 > 255 {
+        if arity > 255 {
             return Err(PsiError::Compile {
-                detail: format!("predicate {}/{} exceeds 255 arguments", key.0, key.1),
+                detail: format!("predicate {name}/{arity} exceeds 255 arguments"),
             });
         }
         let idx = self.preds.len() as u32;
         self.preds.push(Predicate {
-            name: key.0.clone(),
-            arity: key.1 as u8,
+            name: name.to_owned(),
+            arity: arity as u8,
             clauses: Vec::new(),
             sources: Vec::new(),
             index: ClauseIndex::default(),
             dynamic: false,
         });
-        self.index.insert(key.clone(), idx);
+        self.index
+            .entry(name.to_owned())
+            .or_default()
+            .push((arity, idx));
         Ok(idx)
     }
 
@@ -556,10 +558,10 @@ impl CodeImage {
         })
     }
 
-    fn encode_goal(
+    fn encode_goal<'a>(
         &mut self,
-        term: &Term,
-        ctx: &mut ClauseCtx,
+        term: &'a Term,
+        ctx: &mut ClauseCtx<'a>,
         body: &mut Vec<Word>,
     ) -> Result<()> {
         let (name, nargs) = term.functor().ok_or_else(|| PsiError::Compile {
@@ -568,7 +570,7 @@ impl CodeImage {
         let header = if let Some(b) = Builtin::lookup(name, nargs) {
             Word::builtin_goal(b.id(), nargs as u8)
         } else {
-            let idx = self.pred_index(&(name.to_owned(), nargs))?;
+            let idx = self.pred_index(name, nargs)?;
             Word::goal(idx, nargs as u8)
         };
         body.push(header);
@@ -592,7 +594,7 @@ impl CodeImage {
         Ok(())
     }
 
-    fn encode_term(&mut self, term: &Term, ctx: &mut ClauseCtx) -> Result<Word> {
+    fn encode_term<'a>(&mut self, term: &'a Term, ctx: &mut ClauseCtx<'a>) -> Result<Word> {
         Ok(match term {
             Term::Atom(a) if a == "[]" => Word::nil(),
             Term::Atom(a) => {
@@ -662,19 +664,20 @@ fn goals_to_term(goals: &[FlatGoal]) -> Term {
 }
 
 /// Per-clause compilation context: variable slot assignment and
-/// singleton detection.
-struct ClauseCtx {
-    slots: HashMap<String, u32>,
-    occurrences: HashMap<String, u32>,
+/// singleton detection. Keyed by names borrowed from the clause, so
+/// counting occurrences allocates no strings.
+struct ClauseCtx<'a> {
+    slots: HashMap<&'a str, u32>,
+    occurrences: HashMap<&'a str, u32>,
     next_slot: u32,
 }
 
-impl ClauseCtx {
-    fn new(head: &Term, goals: &[FlatGoal]) -> ClauseCtx {
-        let mut true_counts: HashMap<String, u32> = HashMap::new();
-        fn walk(t: &Term, counts: &mut HashMap<String, u32>) {
+impl<'a> ClauseCtx<'a> {
+    fn new(head: &'a Term, goals: &'a [FlatGoal]) -> ClauseCtx<'a> {
+        let mut true_counts: HashMap<&'a str, u32> = HashMap::new();
+        fn walk<'a>(t: &'a Term, counts: &mut HashMap<&'a str, u32>) {
             match t {
-                Term::Var(v) => *counts.entry(v.clone()).or_default() += 1,
+                Term::Var(v) => *counts.entry(v).or_default() += 1,
                 Term::Struct(_, args) => {
                     for a in args {
                         walk(a, counts);
@@ -700,7 +703,7 @@ impl ClauseCtx {
         self.occurrences.get(v).copied().unwrap_or(0) <= 1
     }
 
-    fn encode_var(&mut self, v: &str) -> Word {
+    fn encode_var(&mut self, v: &'a str) -> Word {
         if self.is_singleton(v) {
             return Word::void();
         }
@@ -708,7 +711,7 @@ impl ClauseCtx {
             Word::local_var(slot as u16)
         } else {
             let slot = self.next_slot;
-            self.slots.insert(v.to_owned(), slot);
+            self.slots.insert(v, slot);
             self.next_slot += 1;
             Word::first_var(slot as u16)
         }
@@ -724,7 +727,7 @@ impl ClauseCtx {
             Term::Var(v) => {
                 if self.is_singleton(v) {
                     true
-                } else if let Some(&slot) = self.slots.get(v) {
+                } else if let Some(&slot) = self.slots.get(v.as_str()) {
                     slot < 32
                 } else {
                     pending_new += 1;
@@ -737,7 +740,7 @@ impl ClauseCtx {
 
     /// Packs one argument (must have been vetted by
     /// [`ClauseCtx::all_packable`]).
-    fn pack(&mut self, arg: &Term) -> u8 {
+    fn pack(&mut self, arg: &'a Term) -> u8 {
         match arg {
             Term::Int(i) => {
                 Word::make_packed_operand(Tag::Int.packed_tag().expect("int packs"), *i as u8)
@@ -748,14 +751,14 @@ impl ClauseCtx {
             Term::Var(v) => {
                 if self.is_singleton(v) {
                     Word::make_packed_operand(Tag::Void.packed_tag().expect("void packs"), 0)
-                } else if let Some(&slot) = self.slots.get(v) {
+                } else if let Some(&slot) = self.slots.get(v.as_str()) {
                     Word::make_packed_operand(
                         Tag::LocalVar.packed_tag().expect("local packs"),
                         slot as u8,
                     )
                 } else {
                     let slot = self.next_slot;
-                    self.slots.insert(v.clone(), slot);
+                    self.slots.insert(v, slot);
                     self.next_slot += 1;
                     Word::make_packed_operand(
                         Tag::FirstVar.packed_tag().expect("first packs"),

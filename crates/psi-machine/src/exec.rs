@@ -1884,14 +1884,16 @@ impl Machine {
     /// identical in both lanes.
     fn builtin_assert(&mut self, args: &[Word], front: bool) -> Result<bool> {
         let term = self.decode_counted(InterpModule::Builtin, args[0])?;
+        let truth;
         let (head, body) = match &term {
-            kl0::Term::Struct(f, hb) if f == ":-" && hb.len() == 2 => {
-                (hb[0].clone(), hb[1].clone())
+            kl0::Term::Struct(f, hb) if f == ":-" && hb.len() == 2 => (&hb[0], &hb[1]),
+            t => {
+                truth = kl0::Term::atom("true");
+                (t, &truth)
             }
-            t => (t.clone(), kl0::Term::atom("true")),
         };
         let before = self.image.heap().len();
-        std::sync::Arc::make_mut(&mut self.image).assert_clause(&head, &body, front)?;
+        std::sync::Arc::make_mut(&mut self.image).assert_clause(head, body, front)?;
         self.db_writes += 1;
         self.sync_code()?;
         let added = self.image.heap().len() - before;

@@ -491,7 +491,9 @@ pub(crate) struct Proc {
 /// Generous enough that none of the paper's workloads ever grows them
 /// mid-run — the hot loop then performs zero host heap allocation
 /// (asserted by [`Machine::hot_path_alloc_count`] in tests). Growth
-/// past a reservation still works; it is merely counted.
+/// past a reservation still works and is counted; the next run reset
+/// ([`Proc::reset`]) shrinks a grown stack back to its reservation, so
+/// a pooled machine does not keep one run's peak memory.
 /// Sized for the deepest Table 1 row (the Lisp interpreter running
 /// tarai3 keeps thousands of activations, saved frames and choice
 /// points live at once); `tests/two_lane.rs` asserts zero growth
@@ -526,6 +528,58 @@ impl Proc {
             trail: Vec::with_capacity(TRAIL_RESERVE),
             query: None,
         }
+    }
+
+    /// Returns the process to the state [`Proc::new`] builds, in
+    /// place: the stack tops and registers restart at zero and every
+    /// stack empties but keeps its allocation — the PSI likewise keeps
+    /// a process's stacks resident and starts a new goal by resetting
+    /// their tops (§2.1). Each stack ends at exactly its reservation: a
+    /// stack the last run grew shrinks back, and one that arrived
+    /// smaller (a derived `Clone` keeps only the length) is reserved
+    /// back up, so the hot path stays allocation-free.
+    fn reset(&mut self) {
+        fn reset_stack<T>(stack: &mut Vec<T>, reserve: usize) {
+            stack.clear();
+            if stack.capacity() > reserve {
+                stack.shrink_to(reserve);
+            } else {
+                stack.reserve_exact(reserve);
+            }
+        }
+        // Destructured so that a new field cannot be left out.
+        let Proc {
+            pid: _,
+            status,
+            regs,
+            envs,
+            cps,
+            local_top,
+            global_top,
+            ctl_top,
+            trail_top,
+            buffered,
+            arg_arena,
+            mat_stack,
+            trail,
+            query,
+        } = self;
+        *status = ProcStatus::Done;
+        *regs = Regs {
+            code_ptr: 0,
+            env: 0,
+        };
+        reset_stack(envs, ENVS_RESERVE);
+        reset_stack(cps, CPS_RESERVE);
+        *local_top = 0;
+        *global_top = 0;
+        *ctl_top = 0;
+        *trail_top = 0;
+        reset_stack(buffered, BUFFERED_RESERVE);
+        reset_stack(arg_arena, ARG_ARENA_RESERVE);
+        reset_stack(mat_stack, ENVS_RESERVE);
+        reset_stack(trail, TRAIL_RESERVE);
+        *query = None;
     }
 }
 
@@ -1025,7 +1079,7 @@ impl Machine {
             }
         }
         self.procs.truncate(1);
-        self.procs[0] = Proc::new(ProcessId::ZERO);
+        self.procs[0].reset();
         self.cur = 0;
         // Arm the resource governor for the new run: budgets meter
         // this run only, and the clock is read only when a deadline is
@@ -1624,5 +1678,72 @@ impl Machine {
             limit: deadline.as_millis() as u64,
             consumed: elapsed.as_millis() as u64,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `gen(N, L)` leaves a choice point per level (linear clause
+    /// selection tries both `gen` clauses and all three `pick`s) and
+    /// binds older variables under them, so a run deep in it holds
+    /// live choice points, trail entries and activations.
+    const GEN: &str = "gen(0, []).
+        gen(N, [X|T]) :- N > 0, pick(X), M is N - 1, gen(M, T).
+        pick(a). pick(b). pick(c).";
+
+    fn assert_at_reservation(p: &Proc) {
+        fn empty_at<T>(stack: &[T], capacity: usize, reserve: usize) {
+            assert_eq!((stack.len(), capacity), (0, reserve));
+        }
+        empty_at(&p.envs, p.envs.capacity(), ENVS_RESERVE);
+        empty_at(&p.cps, p.cps.capacity(), CPS_RESERVE);
+        empty_at(&p.buffered, p.buffered.capacity(), BUFFERED_RESERVE);
+        empty_at(&p.arg_arena, p.arg_arena.capacity(), ARG_ARENA_RESERVE);
+        empty_at(&p.mat_stack, p.mat_stack.capacity(), ENVS_RESERVE);
+        empty_at(&p.trail, p.trail.capacity(), TRAIL_RESERVE);
+        assert_eq!(
+            (p.local_top, p.global_top, p.ctl_top, p.trail_top),
+            (0, 0, 0, 0)
+        );
+        assert_eq!((p.regs.code_ptr, p.regs.env), (0, 0));
+        assert!(p.query.is_none());
+    }
+
+    #[test]
+    fn reset_empties_a_tripped_run_in_place() {
+        for config in [MachineConfig::psi(), MachineConfig::psi_compiled()] {
+            let program = Program::parse(GEN).unwrap();
+            let mut m = Machine::load(&program, config).unwrap();
+            m.set_limits(ResourceLimits::unlimited().with_max_steps(200_000));
+            assert!(m.solve("gen(100000, L)", 1).is_err(), "budget must trip");
+            let p = &m.procs[0];
+            assert!(!p.cps.is_empty() && !p.envs.is_empty() && p.trail_top > 0);
+            assert!(m.lane_compiled || !p.buffered.is_empty());
+            let envs = p.envs.as_ptr();
+            m.reset_run_state();
+            assert_at_reservation(&m.procs[0]);
+            assert_eq!(
+                m.procs[0].envs.as_ptr(),
+                envs,
+                "reset must keep the allocation"
+            );
+        }
+    }
+
+    #[test]
+    fn reset_shrinks_a_grown_stack_and_restores_a_cloned_one() {
+        let program = Program::parse(GEN).unwrap();
+        let mut m = Machine::load(&program, MachineConfig::psi_compiled()).unwrap();
+        m.solve("gen(10000, L)", 1).unwrap();
+        assert!(m.hot_path_alloc_count() > 0);
+        assert!(m.procs[0].cps.capacity() > CPS_RESERVE);
+        let mut clone = m.clone();
+        assert!(clone.procs[0].arg_arena.capacity() < ARG_ARENA_RESERVE);
+        m.reset_run_state();
+        assert_at_reservation(&m.procs[0]);
+        clone.reset_run_state();
+        assert_at_reservation(&clone.procs[0]);
     }
 }

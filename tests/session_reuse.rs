@@ -158,3 +158,91 @@ fn set_limits_takes_effect_at_the_next_run() {
     m.set_limits(ResourceLimits::unlimited());
     assert_eq!(m.solve("p(X)", 2).expect("solves").len(), 1);
 }
+
+/// `gen(N, L)` leaves a choice point per level and binds older
+/// variables under them, so a run tripped deep inside it holds live
+/// choice points, trail entries and (fidelity lane) buffered frames.
+const GEN: &str = "
+gen(0, []).
+gen(N, [X|T]) :- N > 0, pick(X), M is N - 1, gen(M, T).
+pick(a). pick(b). pick(c).
+";
+
+/// A run that trips its step budget deep in a search leaves nothing
+/// behind: the next solve on the same machine equals a never-run
+/// machine's solve bit for bit, in both lanes. The fresh machine
+/// compiles the tripped goal without running it, so both images are
+/// the same; the fidelity lane runs uncached because a cache keeps its
+/// contents across runs by design.
+#[test]
+fn solve_after_a_budget_trip_equals_a_fresh_machine() {
+    let program = Program::parse(&format!("{SRC}{GEN}")).expect("parses");
+    for config in [
+        serving_config(),
+        MachineConfig::psi_compiled(),
+        MachineConfig::psi_uncached(),
+    ] {
+        let mut tripped = Machine::load(&program, config.clone()).expect("loads");
+        tripped.set_limits(ResourceLimits::unlimited().with_max_steps(200_000));
+        assert!(
+            tripped.solve("gen(100000, L)", 1).is_err(),
+            "budget must trip"
+        );
+        tripped.set_limits(ResourceLimits::unlimited());
+        tripped.reset_measurement();
+        let after_trip = tripped.solve(GOAL, 4).expect("solves");
+
+        let mut fresh = Machine::load(&program, config).expect("loads");
+        assert!(fresh
+            .solve("gen(100000, L)", 0)
+            .expect("compiles")
+            .is_empty());
+        assert_eq!(after_trip, fresh.solve(GOAL, 4).expect("solves"));
+        assert_eq!(tripped.stats(), fresh.stats());
+        assert_eq!(tripped.hot_path_alloc_count(), 0);
+    }
+}
+
+/// Run resets keep the stacks' reservations: consecutive solves, a
+/// recycle, and a machine cloned mid-life (a derived `Clone` keeps only
+/// each stack's length) all run without a hot-path allocation.
+#[test]
+fn consecutive_solves_and_recycle_stay_allocation_free() {
+    let program = Program::parse(SRC).expect("parses");
+    for config in [serving_config(), MachineConfig::psi()] {
+        let mut m = Machine::load(&program, config).expect("loads");
+        for goal in [GOAL, "qsort([2,1], S)", GOAL] {
+            assert_eq!(m.solve(goal, 4).expect("solves").len(), 1);
+            assert_eq!(m.hot_path_alloc_count(), 0, "{goal}");
+        }
+        let mut clone = m.clone();
+        m.recycle();
+        assert_eq!(m.solve(GOAL, 4).expect("solves").len(), 1);
+        assert_eq!(m.hot_path_alloc_count(), 0);
+        assert_eq!(clone.solve(GOAL, 4).expect("solves").len(), 1);
+        assert_eq!(clone.hot_path_alloc_count(), 0);
+    }
+}
+
+/// A run that grows a stack past its reservation does not leave the
+/// machine holding that peak: the next reset shrinks it back, so a
+/// repeat of the deep run grows it again by exactly as many steps as
+/// the first run did from a fresh machine.
+#[test]
+fn a_grown_stack_is_back_at_its_reservation_after_the_next_reset() {
+    let program = Program::parse(GEN).expect("parses");
+    for config in [serving_config(), MachineConfig::psi_compiled()] {
+        let mut m = Machine::load(&program, config).expect("loads");
+        m.solve("gen(10000, L)", 1).expect("solves");
+        let growth = m.hot_path_alloc_count();
+        assert!(growth > 0, "10000 levels must outgrow the reservations");
+        m.solve("gen(10, L)", 1).expect("solves");
+        assert_eq!(
+            m.hot_path_alloc_count(),
+            growth,
+            "a shallow run must not grow"
+        );
+        m.solve("gen(10000, L)", 1).expect("solves");
+        assert_eq!(m.hot_path_alloc_count(), 2 * growth);
+    }
+}
